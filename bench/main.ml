@@ -453,25 +453,25 @@ let table_hierarchy () =
     \           handler matchAny (\\e -> return 2) ])\n\
     \      (enumFromTo 1 60) >>= \\u -> putInt 0"
   in
-  let machine_io_steps e =
-    let r = Machine_io.run e in
-    (match r.Machine_io.outcome with
-    | Machine_io.Done _ -> ()
+  let machine_steps e =
+    let r = Machine_conc.run e in
+    (match r.Machine_conc.outcome with
+    | Machine_conc.Done _ -> ()
     | o ->
-        Fmt.epr "table_hierarchy: closed workload %a@." Machine_io.pp_outcome
+        Fmt.epr "table_hierarchy: closed workload %a@." Machine_conc.pp_outcome
           o;
         exit 1);
-    r.Machine_io.stats.Stats.steps
+    r.Machine_conc.stats.Stats.steps
   in
   let e_closed = parse closed_src in
-  let before = machine_io_steps e_closed in
+  let before = machine_steps e_closed in
   (* Grow the vocabulary (the registry is global and monotone; bench
      names are namespaced so reruns are idempotent). *)
   for i = 1 to 64 do
     Lang.Exn.declare (Printf.sprintf "BenchExn%d" i) Lang.Exn.K_int
   done;
   (* Re-parse: same source, now under the larger constructor table. *)
-  let after = machine_io_steps (parse closed_src) in
+  let after = machine_steps (parse closed_src) in
   Fmt.pr "closed-vocabulary steps: %d with 0 user decls, %d with 64@." before
     after;
   if before <> after then begin
@@ -495,7 +495,7 @@ let table_hierarchy () =
   let dispatch_rows =
     List.map
       (fun k ->
-        let s = machine_io_steps (parse (dispatch_src k)) in
+        let s = machine_steps (parse (dispatch_src k)) in
         Fmt.pr "%-24d %12d@." k s;
         (k, s))
       [ 1; 2; 4; 8 ]
@@ -713,11 +713,11 @@ let table_fault () =
   header
     "Table B (robustness): bracket/mask hot-path overhead                   (machine steps, no exception raised)";
   let steps_of src =
-    let r = Machine_io.run (parse src) in
-    (match r.Machine_io.outcome with
-    | Machine_io.Done _ -> ()
-    | o -> Fmt.failwith "bench scenario failed: %a" Machine_io.pp_outcome o);
-    r.Machine_io.stats.Stats.steps
+    let r = Machine_conc.run (parse src) in
+    (match r.Machine_conc.outcome with
+    | Machine_conc.Done _ -> ()
+    | o -> Fmt.failwith "bench scenario failed: %a" Machine_conc.pp_outcome o);
+    r.Machine_conc.stats.Stats.steps
   in
   let base_steps = steps_of fault_base in
   Fmt.pr "%-16s %12s %10s@." "scenario" "steps" "overhead";
@@ -1123,9 +1123,9 @@ let table_asyncexn () =
     Fmt.failwith "an unused kill schedule changed the step count: %d vs %d"
       plain.Machine_conc.stats.Stats.steps
       armed.Machine_conc.stats.Stats.steps;
-  if armed.Machine_conc.stats.Stats.throwtos_delivered <> 0 then
+  if armed.Machine_conc.counters.Machine_conc.throwtos_delivered <> 0 then
     Fmt.failwith "an unused kill schedule delivered %d exceptions"
-      armed.Machine_conc.stats.Stats.throwtos_delivered;
+      armed.Machine_conc.counters.Machine_conc.throwtos_delivered;
   let t_plain = time_ns (fun () -> ignore (run k_pingpong)) in
   let t_armed =
     time_ns (fun () ->
@@ -1138,8 +1138,8 @@ let table_asyncexn () =
      it and the third incarnation finishes. *)
   let wplain = run k_worker in
   let wkill = run ~kills:k_worker_kills k_worker in
-  let delivered = wkill.Machine_conc.stats.Stats.throwtos_delivered in
-  let recovered = wkill.Machine_conc.stats.Stats.blocked_recoveries in
+  let delivered = wkill.Machine_conc.counters.Machine_conc.throwtos_delivered in
+  let recovered = wkill.Machine_conc.counters.Machine_conc.blocked_recoveries in
   if delivered = 0 then
     Fmt.failwith "the worker kill schedule delivered nothing";
   let t_wplain = time_ns (fun () -> ignore (run k_worker)) in
@@ -1153,9 +1153,9 @@ let table_asyncexn () =
   (* Row 3: per-delivery machine steps, from 50 self-throws. *)
   let sthrow = run k_selfthrow in
   let sbase = run k_selfbase in
-  if sthrow.Machine_conc.stats.Stats.throwtos_delivered <> 50 then
+  if sthrow.Machine_conc.counters.Machine_conc.throwtos_delivered <> 50 then
     Fmt.failwith "expected 50 self-deliveries, saw %d"
-      sthrow.Machine_conc.stats.Stats.throwtos_delivered;
+      sthrow.Machine_conc.counters.Machine_conc.throwtos_delivered;
   let per_delivery =
     float_of_int
       (sthrow.Machine_conc.stats.Stats.steps
@@ -1167,7 +1167,7 @@ let table_asyncexn () =
   Fmt.pr "%-18s %12d %12d %10d %10d %12.1f %10.0f %10.0f@." "selfthrow-x50"
     sbase.Machine_conc.stats.Stats.steps
     sthrow.Machine_conc.stats.Stats.steps 50
-    sthrow.Machine_conc.stats.Stats.blocked_recoveries per_delivery
+    sthrow.Machine_conc.counters.Machine_conc.blocked_recoveries per_delivery
     t_sbase.mean_ns t_sthrow.mean_ns;
   Fmt.pr
     "(asserted: an unused schedule leaves steps identical and delivers \
@@ -1192,7 +1192,7 @@ let table_asyncexn () =
              "{\"workload\":\"selfthrow-x50\",\"steps_plain\":%d,\"steps_armed\":%d,\"delivered\":50,\"recovered\":%d,\"per_delivery_steps\":%.1f,\"ns_plain\":%.1f,\"ns_plain_sd\":%.1f,\"ns_faulted\":%.1f,\"ns_faulted_sd\":%.1f,\"trials\":%d}"
              sbase.Machine_conc.stats.Stats.steps
              sthrow.Machine_conc.stats.Stats.steps
-             sthrow.Machine_conc.stats.Stats.blocked_recoveries per_delivery
+             sthrow.Machine_conc.counters.Machine_conc.blocked_recoveries per_delivery
              t_sbase.mean_ns t_sbase.sd_ns t_sthrow.mean_ns t_sthrow.sd_ns
              t_sbase.trials;
          ])
@@ -1406,14 +1406,14 @@ let make_tests () =
     t "opt/workload_original" (fun () -> ignore (Machine.run_deep cbv));
     t "opt/workload_optimised" (fun () -> ignore (Machine.run_deep cbv_opt));
     (* C9: the IO layer. *)
-    t "io/getException_200" (fun () -> ignore (Io.run io_prog));
+    t "io/getException_200" (fun () -> ignore (Conc.run io_prog));
     t "io/machine_getException_200" (fun () ->
-        ignore (Machine_io.run io_prog));
+        ignore (Machine_conc.run io_prog));
     (* Robustness: exception-safety combinators on the hot path. *)
     t "io/hot_path_baseline" (fun () ->
-        ignore (Machine_io.run (parse fault_base)));
+        ignore (Machine_conc.run (parse fault_base)));
     t "io/hot_path_bracket_mask" (fun () ->
-        ignore (Machine_io.run (parse (List.assoc "bracket+mask" fault_scenarios))));
+        ignore (Machine_conc.run (parse (List.assoc "bracket+mask" fault_scenarios))));
     (* C5: the full law table. *)
     t "laws/full_table" (fun () -> ignore (Laws.table ()));
     (* C14: type inference over the whole Prelude-closed program. *)

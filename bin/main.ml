@@ -127,7 +127,10 @@ let run_cmd =
     Arg.(
       value & flag
       & info [ "machine" ]
-          ~doc:"Perform on the abstract machine instead of the semantic LTS.")
+          ~doc:
+            "Perform on the abstract machine instead of the denotational \
+             semantics; both run the same IO transition system and \
+             scheduler.")
   in
   let seed_arg =
     Arg.(
@@ -149,9 +152,9 @@ let run_cmd =
     let prog = if opt then optimize_or_die prog else prog in
     if machine then begin
       let r = run_io_machine ~input prog in
-      print_string r.Machine_io.output;
-      Fmt.pr "@.-- %a@." Machine_io.pp_outcome r.Machine_io.outcome;
-      match r.Machine_io.outcome with Machine_io.Done _ -> 0 | _ -> 1
+      print_string r.Machine_conc.output;
+      Fmt.pr "@.-- %a@." Conc.pp_outcome r.Machine_conc.outcome;
+      match r.Machine_conc.outcome with Done _ -> 0 | _ -> 1
     end
     else begin
       let oracle =
@@ -160,13 +163,17 @@ let run_cmd =
         | None -> Oracle.first ()
       in
       let r = run_io ~oracle ~input prog in
-      print_string (Io.output_string_of r);
-      Fmt.pr "@.-- %a@." Io.pp_outcome r.Io.outcome;
-      match r.Io.outcome with Io.Done _ -> 0 | _ -> 1
+      print_string (Conc.output_string_of r);
+      Fmt.pr "@.-- %a@." Conc.pp_outcome r.Conc.outcome;
+      match r.Conc.outcome with Done _ -> 0 | _ -> 1
     end
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run a program's main under the IO semantics.")
+    (Cmd.info "run"
+       ~doc:
+         "Run a program's main under the IO semantics: one transition system \
+          for sequential and concurrent programs (forkIO, MVars, channels, \
+          throwTo).")
     Term.(
       const run $ file_arg $ input_arg $ machine_arg $ seed_arg
       $ optimize_flag)
@@ -339,21 +346,20 @@ let trace_cmd =
           in
           let r = run_io ~oracle ~trace:tr ~input prog in
           print_events ();
-          Fmt.pr "-- output: %S@." (Io.output_string_of r);
-          (match r.Io.outcome with
-          | Io.Uncaught x ->
-              Fmt.pr "-- uncaught: %a@." Value.pp_exn_with_origin x
-          | o -> Fmt.pr "-- %a@." Io.pp_outcome o);
-          match r.Io.outcome with Io.Done _ -> 0 | _ -> 1
+          Fmt.pr "-- output: %S@." (Conc.output_string_of r);
+          (match r.Conc.outcome with
+          | Uncaught x -> Fmt.pr "-- uncaught: %a@." Value.pp_exn_with_origin x
+          | o -> Fmt.pr "-- %a@." Conc.pp_outcome o);
+          match r.Conc.outcome with Done _ -> 0 | _ -> 1
         end
         else begin
           let r = run_io_machine ~trace:tr ~input prog in
           print_events ();
-          Fmt.pr "-- output: %S@." r.Machine_io.output;
-          (match r.Machine_io.outcome with
-          | Machine_io.Uncaught x -> pr_uncaught tr x
-          | o -> Fmt.pr "-- %a@." Machine_io.pp_outcome o);
-          match r.Machine_io.outcome with Machine_io.Done _ -> 0 | _ -> 1
+          Fmt.pr "-- output: %S@." r.Machine_conc.output;
+          (match r.Machine_conc.outcome with
+          | Uncaught x -> pr_uncaught tr x
+          | o -> Fmt.pr "-- %a@." Conc.pp_outcome o);
+          match r.Machine_conc.outcome with Done _ -> 0 | _ -> 1
         end
   in
   Cmd.v
@@ -502,7 +508,7 @@ let fuzz_cmd =
        ~doc:
          "Coverage-guided metamorphic differential fuzzing across all six \
           evaluators (denotational, slot machine, reference machine, fixed \
-          orders) and the four IO layers, with flight-recorder event-kind \
+          orders) and the two IO layers, with flight-recorder event-kind \
           coverage, transformation-law oracles, fault schedules, corpus \
           persistence and crash minimisation.")
     Term.(
@@ -513,19 +519,17 @@ let fuzz_cmd =
 let faults_cmd =
   let run count kills quiet =
     (* Phase 1: the general fault suite (baselines, [count] seeded
-       schedules over every applicable layer, the supervisor
-       scenario). *)
+       schedules over both layers, the supervisor scenario). *)
     let report = Faultinject.run_suite ~count () in
     if not quiet then Fmt.pr "%a@." Faultinject.pp_report report;
     (* Phase 2: the throwTo/killThread axis specifically — keep
-       generating seeded schedules until [kills] of them carry
-       thread-targeted exceptions, and check every concurrent layer.
+       generating seeded schedules for the concurrent templates until
+       [kills] of them carry thread-targeted exceptions, and check both
+       layers.
        Violations come back with a flight-recorder dump of an
        instrumented replay, so a failing schedule is diagnosable from
        the CI log alone. *)
-    let conc_templates =
-      List.filter (fun t -> t.Faultinject.conc_only) Faultinject.templates
-    in
+    let concurrent = List.filter Faultinject.concurrent Faultinject.templates in
     let scheduled = ref 0 and checks = ref 0 and violations = ref [] in
     let seed = ref 0 in
     while !scheduled < kills && !seed < 100 * (max kills 1) do
@@ -540,9 +544,9 @@ let faults_cmd =
                   let n, vs = Faultinject.check_one t f layer in
                   checks := !checks + n;
                   violations := !violations @ vs)
-                (Faultinject.layers_for t)
+                Faultinject.layers
             end)
-        conc_templates;
+        concurrent;
       incr seed
     done;
     if not quiet then
@@ -567,9 +571,9 @@ let faults_cmd =
       value & opt int 100
       & info [ "kills" ] ~docv:"N"
           ~doc:
-            "Seeded schedules that must carry thread-targeted \
-             throwTo/killThread exceptions, each run on every concurrent \
-             layer.")
+            "Seeded schedules of the concurrent templates that must carry \
+             thread-targeted throwTo/killThread exceptions, each run on \
+             both layers.")
   in
   let quiet_arg =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Only report violations.")
@@ -580,7 +584,7 @@ let faults_cmd =
          "Cross-layer fault injection: seeded schedules of asynchronous \
           events, thread-targeted kills, resource ceilings, starved fuel \
           and truncated input, checked against the exception-safety \
-          invariants on all four IO layers. Exits nonzero on any \
+          invariants on both IO layers. Exits nonzero on any \
           violation, with a flight-recorder replay of the failing \
           schedule.")
     Term.(const run $ count_arg $ kills_arg $ quiet_arg)

@@ -55,9 +55,9 @@ let () =
          work_src work_src)
   in
   let r = run_io_machine ~async:[ (4_000, Exn.Timeout) ] program in
-  Fmt.pr "output: %S@." r.Machine_io.output;
-  Fmt.pr "result: %a@." Machine_io.pp_outcome r.Machine_io.outcome;
-  Fmt.pr "paused thunks: %d@." r.Machine_io.stats.Stats.thunks_paused;
+  Fmt.pr "output: %S@." r.Machine_conc.output;
+  Fmt.pr "result: %a@." Machine_conc.pp_outcome r.Machine_conc.outcome;
+  Fmt.pr "paused thunks: %d@." r.Machine_conc.stats.Stats.thunks_paused;
 
   (* Interrupts are delivered ONLY at getException: without a catch the
      event stays pending and the computation completes (Section 5.1's
@@ -72,11 +72,11 @@ let () =
 
   (* Keyboard interrupt semantics at the operational layer: the semantic
      LTS (Section 4.4 + the ¡x rule) shows the same behaviour. *)
-  Fmt.pr "@.semantic layer (Iosem):@.";
+  Fmt.pr "@.semantic layer (Conc):@.";
   let r2 =
     run_io
       ~async:[ (0, Exn.Interrupt) ]
       (parse "getException 42 >>= \\v -> return v")
   in
-  Fmt.pr "getException 42 under an interrupt: %a@." Io.pp_outcome
-    r2.Io.outcome
+  Fmt.pr "getException 42 under an interrupt: %a@." Conc.pp_outcome
+    r2.Conc.outcome

@@ -56,14 +56,14 @@ let () =
      line. The machine run below instead interrupts it with a real
      asynchronous Timeout (Section 5.1). *)
   let r = run_io ~config:(Denot.with_fuel 2_000_000) program in
-  let lines = String.split_on_char '\n' (Io.output_string_of r) in
+  let lines = String.split_on_char '\n' (Conc.output_string_of r) in
   List.iteri
     (fun i line ->
       if line <> "" then
         let label = try fst (List.nth requests i) with _ -> "?" in
         Fmt.pr "%-28s %s@." label line)
     lines;
-  Fmt.pr "@.final IO outcome: %a@." Io.pp_outcome r.Io.outcome;
+  Fmt.pr "@.final IO outcome: %a@." Conc.pp_outcome r.Conc.outcome;
 
   (* The same calculator on the abstract machine, with the machine's own
      async injection. *)
@@ -79,7 +79,7 @@ let () =
       if line <> "" then
         let label = try fst (List.nth requests i) with _ -> "?" in
         Fmt.pr "%-28s %s@." label line)
-    (String.split_on_char '\n' m.Machine_io.output);
+    (String.split_on_char '\n' m.Machine_conc.output);
   Fmt.pr "machine outcome: %a (%d steps, %d thunks paused)@."
-    Machine_io.pp_outcome m.Machine_io.outcome
-    m.Machine_io.stats.Stats.steps m.Machine_io.stats.Stats.thunks_paused
+    Machine_conc.pp_outcome m.Machine_conc.outcome
+    m.Machine_conc.stats.Stats.steps m.Machine_conc.stats.Stats.thunks_paused

@@ -79,7 +79,7 @@ let () =
         Fmt.pr "  %-32s -> %s@."
           (try List.nth labels i with _ -> "?")
           line)
-    (String.split_on_char '\n' (Io.output_string_of r));
+    (String.split_on_char '\n' (Conc.output_string_of r));
 
   (* Note sample #5: the paper's laziness story. [Let2] binds the
      division eagerly in evalA (evalA env rhs is evaluated when the
@@ -94,9 +94,9 @@ let () =
         Fmt.pr "  %-32s -> %s@."
           (try List.nth labels i with _ -> "?")
           line)
-    (String.split_on_char '\n' m.Machine_io.output);
+    (String.split_on_char '\n' m.Machine_conc.output);
   Fmt.pr "  (%d machine steps, %d allocations)@."
-    m.Machine_io.stats.Stats.steps m.Machine_io.stats.Stats.allocations;
+    m.Machine_conc.stats.Stats.steps m.Machine_conc.stats.Stats.allocations;
 
   (* What the Section 2 encoding costs for this program. *)
   let as_expr = parse_program program_src in

@@ -40,15 +40,15 @@ let () =
   let r1 = run_io program in
   let r2 = run_io ~oracle:(Oracle.create ~seed:7) program in
   Fmt.pr "catch, oracle A               -> output %S@."
-    (Io.output_string_of r1);
+    (Conc.output_string_of r1);
   Fmt.pr "catch, oracle B               -> output %S@."
-    (Io.output_string_of r2);
+    (Conc.output_string_of r2);
 
   (* 6. The same program on the real implementation: the stack-trimming
      abstract machine (Section 3.3). *)
   let m = run_io_machine program in
   Fmt.pr "catch, abstract machine       -> output %S (%d steps)@."
-    m.Machine_io.output m.Machine_io.stats.Stats.steps;
+    m.Machine_conc.output m.Machine_conc.stats.Stats.steps;
 
   (* 7. try_eval: the one-shot catch convenience. *)
   (match try_eval (parse "head []") with
@@ -63,4 +63,4 @@ let () =
        main = putLine (showInt (sum (squares 10)));"
   in
   Fmt.pr "sum of squares program        -> output %S@."
-    (Io.output_string_of (run_io prog))
+    (Conc.output_string_of (run_io prog))

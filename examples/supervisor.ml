@@ -26,10 +26,9 @@
      killing the tree and raising SupervisorLimit, which a typed
      handler catches with the window census.
 
-   Every scenario runs on both concurrent layers (Semantics.Conc and
-   Machine.Machine_conc) or both sequential IO layers, and the process
-   exits nonzero if any outcome deviates, so CI can use this binary as
-   a smoke test.
+   Every scenario runs on both IO layers (Semantics.Conc and
+   Machine.Machine_conc), and the process exits nonzero if any outcome
+   deviates, so CI can use this binary as a smoke test.
 
    Run with: dune exec examples/supervisor.exe *)
 
@@ -126,26 +125,26 @@ let murder_scenario () =
   let e = parse_program murder_src in
   let sem = Conc.run ~kills:murder_kills e in
   Fmt.pr "semantic: %a  kills delivered %d@." Conc.pp_outcome sem.Conc.outcome
-    sem.Conc.counters.Io.throwtos_delivered;
+    sem.Conc.counters.Conc.throwtos_delivered;
   expect "semantic: prefix kept, suffix respawned"
     (match sem.Conc.outcome with
     | Conc.Done d -> Value.deep_equal d (Value.DCon ("True", []))
     | _ -> false)
     "Done True";
   expect "semantic: the murder was delivered"
-    (sem.Conc.counters.Io.throwtos_delivered > 0)
+    (sem.Conc.counters.Conc.throwtos_delivered > 0)
     "throwtos_delivered > 0";
   let mach = Machine_conc.run ~kills:murder_kills e in
   Fmt.pr "machine:  %a  kills delivered %d@." Machine_conc.pp_outcome
     mach.Machine_conc.outcome
-    mach.Machine_conc.stats.Stats.throwtos_delivered;
+    mach.Machine_conc.counters.Machine_conc.throwtos_delivered;
   expect "machine: prefix kept, suffix respawned"
     (match mach.Machine_conc.outcome with
     | Machine_conc.Done d -> Value.deep_equal d (Value.DCon ("True", []))
     | _ -> false)
     "Done True";
   expect "machine: the murder was delivered"
-    (mach.Machine_conc.stats.Stats.throwtos_delivered > 0)
+    (mach.Machine_conc.counters.Machine_conc.throwtos_delivered > 0)
     "throwtos_delivered > 0"
 
 (* ------------------------------------------------------------------ *)
@@ -174,24 +173,24 @@ let handler_scenario () =
   Fmt.pr "== typed handlers ==@.";
   let check name src want_out want_val =
     let e = parse_program src in
-    let sem = Io.run e in
-    Fmt.pr "%s iosem:   %a  output %S@." name Io.pp_outcome sem.Io.outcome
-      (Io.output_string_of sem);
-    expect (name ^ ": iosem dispatches to the right handler")
-      (match sem.Io.outcome with
-      | Io.Done d ->
+    let sem = Conc.run e in
+    Fmt.pr "%s semantic: %a  output %S@." name Conc.pp_outcome sem.Conc.outcome
+      (Conc.output_string_of sem);
+    expect (name ^ ": semantic layer dispatches to the right handler")
+      (match sem.Conc.outcome with
+      | Conc.Done d ->
           Value.deep_equal d want_val
-          && String.equal (Io.output_string_of sem) want_out
+          && String.equal (Conc.output_string_of sem) want_out
       | _ -> false)
       (Fmt.str "Done with output %S" want_out);
-    let mach = Machine_io.run e in
-    Fmt.pr "%s machine: %a  output %S@." name Machine_io.pp_outcome
-      mach.Machine_io.outcome mach.Machine_io.output;
+    let mach = Machine_conc.run e in
+    Fmt.pr "%s machine: %a  output %S@." name Machine_conc.pp_outcome
+      mach.Machine_conc.outcome mach.Machine_conc.output;
     expect (name ^ ": machine dispatches to the right handler")
-      (match mach.Machine_io.outcome with
-      | Machine_io.Done d ->
+      (match mach.Machine_conc.outcome with
+      | Machine_conc.Done d ->
           Value.deep_equal d want_val
-          && String.equal mach.Machine_io.output want_out
+          && String.equal mach.Machine_conc.output want_out
       | _ -> false)
       (Fmt.str "Done with output %S" want_out)
   in

@@ -58,4 +58,4 @@ let () =
        Bad e -> putLine [chr 63] }) results"
   in
   let r = run_io program in
-  Fmt.pr "  per-element recovery output: %S@." (Io.output_string_of r)
+  Fmt.pr "  per-element recovery output: %S@." (Conc.output_string_of r)

@@ -2,12 +2,11 @@
 
    From a seeded oracle we generate a [fault] — a schedule of
    asynchronous events, optional heap/stack ceilings, a starved machine
-   fuel budget, truncated input, and a GC cadence — then run a small
-   library of template programs under all four IO layers (denotational
-   {!Semantics.Iosem}, denotational concurrent {!Semantics.Conc}, machine
-   {!Machine.Machine_io}, concurrent machine {!Machine.Machine_conc}) and
-   check the exception-safety invariants that are supposed to survive
-   *any* fault:
+   fuel budget, truncated input, a kill schedule and a GC cadence — then
+   run a small library of template programs under both IO layers (the
+   one IO core over the denotation, {!Semantics.Conc}, and over the
+   machine, {!Machine.Machine_conc}) and check the exception-safety
+   invariants that are supposed to survive *any* fault:
 
    - every surfaced uncaught exception is a member of the denotational
      exception set of the program's pure core (or is an asynchronous /
@@ -25,19 +24,16 @@ module Exn = Lang.Exn
 module Denot = Semantics.Denot
 module Exn_set = Semantics.Exn_set
 module Oracle = Semantics.Oracle
-module Iosem = Semantics.Iosem
 module Conc = Semantics.Conc
 module Stg = Machine.Stg
-module Machine_io = Machine.Machine_io
 module Machine_conc = Machine.Machine_conc
-module Stats = Machine.Stats
 
 type fault = {
   seed : int;
   async : (int * Exn.t) list;
   kills : (int * int * Exn.t) list;
       (** Thread-targeted sends [(clock, tid, exn)], the [throwTo] /
-          [killThread] axis; concurrent layers only. *)
+          [killThread] axis. *)
   heap_limit : int option;
   stack_limit : int option;
   starved_fuel : int option;
@@ -82,13 +78,10 @@ let pp_fault ppf f =
     Fmt.(option ~none:(any "-") int)
     f.starved_fuel f.truncate_input
 
-type layer = L_iosem | L_conc | L_machine_io | L_machine_conc
+type layer = L_conc | L_machine_conc
 
-let layer_name = function
-  | L_iosem -> "iosem"
-  | L_conc -> "conc"
-  | L_machine_io -> "machine_io"
-  | L_machine_conc -> "machine_conc"
+let layer_name = function L_conc -> "conc" | L_machine_conc -> "machine_conc"
+let layers = [ L_conc; L_machine_conc ]
 
 type status = S_done | S_uncaught of Exn.t | S_diverged | S_stuck | S_deadlock
 
@@ -116,7 +109,6 @@ type template = {
   source : string;
   base_input : string;
   core : string option;
-  conc_only : bool;
   deterministic : bool;
       (** Zero-fault output is identical across layers (false for
           templates whose output depends on the layer's clock). *)
@@ -175,7 +167,6 @@ let t_bracket_supervised (cname, core) =
         core;
     base_input = "";
     core = Some core;
-    conc_only = false;
     deterministic = true;
     special = no_special;
   }
@@ -192,7 +183,6 @@ let t_bracket_uncaught (cname, core) =
         core;
     base_input = "";
     core = Some core;
-    conc_only = false;
     deterministic = true;
     special = no_special;
   }
@@ -210,7 +200,6 @@ let t_timeout_bracket =
        putChar 'J' >>= \\u -> return 1 }";
     base_input = "";
     core = None;
-    conc_only = false;
     deterministic = false;
     special = no_special;
   }
@@ -244,7 +233,6 @@ let t_shared_thunk (cname, core) =
         core;
     base_input = "";
     core = Some core;
-    conc_only = false;
     deterministic = true;
     special =
       (fun _fault obs ->
@@ -265,7 +253,6 @@ let t_retry (cname, core) =
         core;
     base_input = "";
     core = Some core;
-    conc_only = false;
     deterministic = true;
     special =
       (fun _fault obs ->
@@ -288,7 +275,6 @@ let t_fork_bracket =
        -> putChar 'J' >>= \\u2 -> return y";
     base_input = "";
     core = None;
-    conc_only = true;
     deterministic = false;
     special = no_special;
   }
@@ -305,7 +291,6 @@ let t_mask_shield =
        'U' >>= \\u3 -> return 0";
     base_input = "";
     core = None;
-    conc_only = false;
     deterministic = true;
     special =
       (fun fault obs ->
@@ -330,7 +315,6 @@ let t_supervised_kill =
        return 9) (return 0) >>= \\v -> putChar 'S' >>= \\u2 -> return v";
     base_input = "";
     core = None;
-    conc_only = true;
     deterministic = true;
     special =
       (fun fault obs ->
@@ -364,7 +348,6 @@ let t_blocked_recover =
        return 7 }";
     base_input = "";
     core = None;
-    conc_only = true;
     deterministic = true;
     special =
       (fun fault obs ->
@@ -394,7 +377,6 @@ let t_chan_handoff =
        >>= \\u2 -> return v ; Bad e -> putChar 'F' >>= \\u3 -> return 0 }";
     base_input = "";
     core = None;
-    conc_only = true;
     deterministic = true;
     special =
       (fun fault obs ->
@@ -431,7 +413,6 @@ let t_chan_kill_writer =
        putInt w ; Bad e2 -> putChar 'G' }) >>= \\u4 -> return 1";
     base_input = "";
     core = None;
-    conc_only = true;
     deterministic = true;
     special =
       (fun fault obs ->
@@ -478,7 +459,6 @@ let t_restart_storm_exhaust =
        })";
     base_input = "";
     core = None;
-    conc_only = true;
     deterministic = true;
     special =
       (fun fault obs ->
@@ -552,7 +532,6 @@ let t_restart_storm_kill =
        'S' >>= \\u5 -> return v";
     base_input = "";
     core = None;
-    conc_only = true;
     (* Output interleaving of the two children depends on the layer's
        scheduler clock. *)
     deterministic = false;
@@ -594,7 +573,6 @@ let t_echo =
     source = "getChar >>= \\c -> putChar c >>= \\u -> return 5";
     base_input = "q";
     core = None;
-    conc_only = false;
     deterministic = true;
     special =
       (fun fault obs ->
@@ -644,26 +622,14 @@ let machine_config fault =
 let observe ?trace layer tpl fault : observation =
   let e = parse tpl.source in
   let input = input_of tpl fault in
+  let status : Conc.outcome -> status = function
+    | Done _ -> S_done
+    | Uncaught x -> S_uncaught x
+    | Deadlock -> S_deadlock
+    | Diverged -> S_diverged
+    | Stuck _ -> S_stuck
+  in
   match layer with
-  | L_iosem ->
-      let r =
-        Iosem.run
-          ~oracle:(Oracle.create ~seed:fault.seed)
-          ?trace ~input ~async:fault.async ~max_steps:max_transitions e
-      in
-      let status =
-        match r.Iosem.outcome with
-        | Iosem.Done _ -> S_done
-        | Iosem.Uncaught x -> S_uncaught x
-        | Iosem.Io_diverged -> S_diverged
-        | Iosem.Stuck _ -> S_stuck
-      in
-      {
-        status;
-        output = Iosem.output_string_of r;
-        entered = r.Iosem.counters.Iosem.brackets_entered;
-        released = r.Iosem.counters.Iosem.brackets_released;
-      }
   | L_conc ->
       let r =
         Conc.run
@@ -671,61 +637,48 @@ let observe ?trace layer tpl fault : observation =
           ?trace ~input ~async:fault.async ~kills:fault.kills
           ~max_steps:max_transitions e
       in
-      let status =
-        match r.Conc.outcome with
-        | Conc.Done _ -> S_done
-        | Conc.Uncaught x -> S_uncaught x
-        | Conc.Deadlock -> S_deadlock
-        | Conc.Diverged -> S_diverged
-        | Conc.Stuck _ -> S_stuck
-      in
       {
-        status;
+        status = status r.outcome;
         output = Conc.output_string_of r;
-        entered = r.Conc.counters.Iosem.brackets_entered;
-        released = r.Conc.counters.Iosem.brackets_released;
-      }
-  | L_machine_io ->
-      let r =
-        Machine_io.run ~config:(machine_config fault) ?trace ~input
-          ~async:fault.async ~max_transitions ?gc_every:fault.gc_every e
-      in
-      let status =
-        match r.Machine_io.outcome with
-        | Machine_io.Done _ -> S_done
-        | Machine_io.Uncaught x -> S_uncaught x
-        | Machine_io.Io_diverged -> S_diverged
-        | Machine_io.Stuck _ -> S_stuck
-      in
-      {
-        status;
-        output = r.Machine_io.output;
-        entered = r.Machine_io.stats.Stats.brackets_entered;
-        released = r.Machine_io.stats.Stats.brackets_released;
+        entered = r.counters.brackets_entered;
+        released = r.counters.brackets_released;
       }
   | L_machine_conc ->
       let r =
         Machine_conc.run ~config:(machine_config fault) ?trace ~input
-          ~async:fault.async ~kills:fault.kills ~max_transitions e
-      in
-      let status =
-        match r.Machine_conc.outcome with
-        | Machine_conc.Done _ -> S_done
-        | Machine_conc.Uncaught x -> S_uncaught x
-        | Machine_conc.Deadlock -> S_deadlock
-        | Machine_conc.Diverged -> S_diverged
-        | Machine_conc.Stuck _ -> S_stuck
+          ~async:fault.async ~kills:fault.kills ~max_transitions
+          ?gc_every:fault.gc_every e
       in
       {
-        status;
-        output = r.Machine_conc.output;
-        entered = r.Machine_conc.stats.Stats.brackets_entered;
-        released = r.Machine_conc.stats.Stats.brackets_released;
+        status = status r.outcome;
+        output = r.output;
+        entered = r.counters.brackets_entered;
+        released = r.counters.brackets_released;
       }
 
-let layers_for tpl =
-  if tpl.conc_only then [ L_conc; L_machine_conc ]
-  else [ L_iosem; L_conc; L_machine_io; L_machine_conc ]
+(* Whether a template is concurrent: its zero-fault run forks a second
+   thread or blocks on an MVar or a channel. Read off the run rather
+   than the source, because [supervisorTree] forks without a [forkIO] in
+   the template. Only concurrent templates get kill schedules: on a
+   one-thread template the kills aimed at tids 1 and 2 are dropped, and
+   the checks that need a kill-free fault would cover fewer of its
+   schedules. *)
+let concurrent_tbl : (string, bool) Hashtbl.t = Hashtbl.create 32
+
+let concurrent tpl =
+  match Hashtbl.find_opt concurrent_tbl tpl.name with
+  | Some b -> b
+  | None ->
+      let r =
+        Conc.run ~oracle:(Oracle.create ~seed:0) ~input:tpl.base_input
+          ~max_steps:max_transitions (parse tpl.source)
+      in
+      let b =
+        r.threads_spawned > 1
+        || List.exists (function Conc.E_block _ -> true | _ -> false) r.trace
+      in
+      Hashtbl.replace concurrent_tbl tpl.name b;
+      b
 
 (* ------------------------------------------------------------------ *)
 (* Invariant checks                                                    *)
@@ -791,10 +744,10 @@ let check_counters obs =
    wrote is paired with the release's 'R'. Resource exhaustion may strike
    *inside* the release action itself (after the counter bump but before
    the marker), so this stricter check only applies to clean faults. *)
-let check_markers tpl fault obs =
+let check_markers fault obs =
   let applicable =
     clean fault
-    && (finished obs || (tpl.conc_only && obs.status = S_deadlock))
+    && (finished obs || obs.status = S_deadlock)
   in
   if applicable && count 'A' obs.output <> count 'R' obs.output then
     [
@@ -826,7 +779,7 @@ let check_one tpl fault layer =
   let vs =
     check_membership tpl fault obs
     @ check_counters obs
-    @ check_markers tpl fault obs
+    @ check_markers fault obs
     @ tpl.special fault obs
   in
   let vs =
@@ -836,13 +789,11 @@ let check_one tpl fault layer =
   in
   (4, List.map tag vs)
 
-(* Zero-fault baseline: with no fault injected, the four layers must
+(* Zero-fault baseline: with no fault injected, the two layers must
    agree — same status class and (for clock-independent templates) the
    same output. *)
 let baseline tpl =
-  let obss =
-    List.map (fun l -> (l, observe l tpl (no_fault 0))) (layers_for tpl)
-  in
+  let obss = List.map (fun l -> (l, observe l tpl (no_fault 0))) layers in
   match obss with
   | [] -> (0, [])
   | (l0, o0) :: rest ->
@@ -896,9 +847,9 @@ let gen_fault ~seed tpl =
   in
   (* Thread-targeted kills: concurrent templates get 0–2 throwTo sends
      aimed at the first few tids (sends to never-spawned tids are
-     dropped by the schedulers, which is itself worth exercising). *)
+     dropped by the scheduler, which is itself worth exercising). *)
   let kill_exns = [| Exn.Thread_killed; Exn.Interrupt |] in
-  let n_kills = if tpl.conc_only then Oracle.int_below o 3 else 0 in
+  let n_kills = if concurrent tpl then Oracle.int_below o 3 else 0 in
   let kills =
     List.init n_kills (fun _ ->
         ( Oracle.int_below o 2_000,
@@ -933,7 +884,7 @@ let run_seed seed =
     (fun (runs, checks, vs) layer ->
       let c, v = check_one tpl fault layer in
       (runs + 1, checks + c, vs @ v))
-    (0, 0, []) (layers_for tpl)
+    (0, 0, []) layers
 
 (* The supervisor scenario: under a heap ceiling the machine raises a
    catchable HeapOverflow; the supervisor catches it, an emergency
@@ -951,30 +902,30 @@ let supervisor_source =
 let check_supervisor () =
   let e = parse supervisor_source in
   let r =
-    Machine_io.run
+    Machine_conc.run
       ~config:{ Stg.default_config with heap_limit = Some 2_500 }
       ~max_transitions e
   in
   let machine_vs =
-    match r.Machine_io.outcome with
-    | Machine_io.Done _ when r.Machine_io.output = "HK" -> []
-    | _ ->
+    match r.outcome with
+    | Done _ when r.output = "HK" -> []
+    | o ->
         [
           Fmt.str
-            "[supervisor/machine_io] expected Done with output HK, got %a \
+            "[supervisor/machine_conc] expected Done with output HK, got %a \
              with %S"
-            Machine_io.pp_outcome r.Machine_io.outcome r.Machine_io.output;
+            Conc.pp_outcome o r.output;
         ]
   in
-  let d = Iosem.run ~oracle:(Oracle.first ()) e in
+  let d = Conc.run ~oracle:(Oracle.first ()) e in
   let denot_vs =
-    match d.Iosem.outcome with
-    | Iosem.Done _ when Iosem.output_string_of d = "O" -> []
-    | _ ->
+    match d.outcome with
+    | Done _ when Conc.output_string_of d = "O" -> []
+    | o ->
         [
           Fmt.str
-            "[supervisor/iosem] expected Done with output O, got %a with %S"
-            Iosem.pp_outcome d.Iosem.outcome (Iosem.output_string_of d);
+            "[supervisor/conc] expected Done with output O, got %a with %S"
+            Conc.pp_outcome o (Conc.output_string_of d);
         ]
   in
   (2, machine_vs @ denot_vs)
@@ -985,7 +936,7 @@ let run_suite ?(count = 250) () =
     (fun tpl ->
       let c, v = baseline tpl in
       checks := !checks + c;
-      runs := !runs + List.length (layers_for tpl);
+      runs := !runs + List.length layers;
       vs := !vs @ v)
     templates;
   for seed = 0 to count - 1 do

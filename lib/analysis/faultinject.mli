@@ -3,10 +3,11 @@
     From a seeded oracle, generate a {!fault} — a schedule of asynchronous
     events (Section 5.1), optional heap/stack ceilings (catchable resource
     exhaustion in {!Machine.Stg}), a starved machine fuel budget,
-    truncated input, and a GC cadence — then run a library of template
-    programs under all four IO layers ({!Semantics.Iosem},
-    {!Semantics.Conc}, {!Machine.Machine_io}, {!Machine.Machine_conc})
-    and check the invariants that must survive any fault:
+    truncated input, a kill schedule and a GC cadence — then run a
+    library of template programs under both IO layers ({!Semantics.Conc}
+    and {!Machine.Machine_conc}, the one IO core over the denotation and
+    over the machine) and check the invariants that must survive any
+    fault:
 
     - every surfaced uncaught exception is a member of the pure core's
       denotational exception set, or an asynchronous/resource event;
@@ -15,7 +16,7 @@
     - a shared thunk interrupted mid-force never loses work (a second
       force sees the same value or exception — the pause-cell invariant);
     - [Mask] really defers delivery (a masked section is never torn);
-    - with no fault injected, all four layers agree (baseline). *)
+    - with no fault injected, both layers agree (baseline). *)
 
 type fault = {
   seed : int;  (** Oracle seed; also seeds the layers' oracles. *)
@@ -24,9 +25,8 @@ type fault = {
           or after the given transition. *)
   kills : (int * int * Lang.Exn.t) list;
       (** Thread-targeted sends [(clock, tid, exn)] — the
-          [throwTo]/[killThread] fault axis, applied to the concurrent
-          layers only; sends to finished or never-spawned threads are
-          dropped, like a dead [throwTo]. *)
+          [throwTo]/[killThread] fault axis; sends to finished or
+          never-spawned threads are dropped, like a dead [throwTo]. *)
   heap_limit : int option;  (** Machine heap ceiling in cells. *)
   stack_limit : int option;  (** Machine stack ceiling in frames. *)
   starved_fuel : int option;
@@ -46,9 +46,12 @@ val clean : fault -> bool
 
 val pp_fault : fault Fmt.t
 
-type layer = L_iosem | L_conc | L_machine_io | L_machine_conc
+type layer = L_conc | L_machine_conc
 
 val layer_name : layer -> string
+
+val layers : layer list
+(** Every layer; each template runs on all of them. *)
 
 type status = S_done | S_uncaught of Lang.Exn.t | S_diverged | S_stuck | S_deadlock
 
@@ -68,7 +71,6 @@ type template = {
   core : string option;
       (** The pure sub-expression whose denotational exception set bounds
           the program's uncaught exceptions. *)
-  conc_only : bool;  (** Uses [forkIO]/MVars: concurrent layers only. *)
   deterministic : bool;
       (** Zero-fault output is identical across layers. *)
   special : fault -> observation -> string list;
@@ -81,16 +83,20 @@ val observe : ?trace:Obs.t -> layer -> template -> fault -> observation
 (** Run one template under one layer with the fault applied. [trace] is
     threaded into the layer's flight recorder. *)
 
+val concurrent : template -> bool
+(** Whether the template's zero-fault run spawns a second thread or
+    blocks on an MVar or a channel. Only concurrent templates get kill
+    schedules from {!gen_fault}. *)
+
 val trace_of_failure : layer -> template -> fault -> string
 (** Replay one (layer, template, fault) cell with an enabled recorder
     and return the crash-dump text. {!check_one} calls this on every
     violation, so failing schedules always report their event trace;
     passing schedules never pay for tracing. *)
 
-val layers_for : template -> layer list
-
 val gen_fault : seed:int -> template -> fault
-(** The seeded fault generator used by {!run_suite}. *)
+(** The seeded fault generator used by {!run_suite}. Only a
+    {!concurrent} template gets a kill schedule. *)
 
 val check_one : template -> fault -> layer -> int * string list
 (** Run and check one (template, fault, layer) cell: returns the number
@@ -117,5 +123,4 @@ val pp_report : report Fmt.t
 
 val run_suite : ?count:int -> unit -> report
 (** Run the baselines, [count] seeded fault schedules (default 250, each
-    over one template on every applicable layer), and the supervisor
-    scenario. *)
+    over one template on every layer), and the supervisor scenario. *)

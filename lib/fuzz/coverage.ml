@@ -77,15 +77,11 @@ let note_stats t (s : Machine.Stats.t) =
   note_counter t "catches" s.catches;
   note_counter t "collections" s.collections;
   note_counter t "async_delivered" s.async_delivered;
-  note_counter t "brackets_entered" s.brackets_entered;
-  note_counter t "timeouts_fired" s.timeouts_fired;
   note_counter t "masked_sections" s.masked_sections;
   note_counter t "env_lookups" s.env_lookups;
-  note_counter t "slot_reads" s.slot_reads;
-  note_counter t "throwtos_delivered" s.throwtos_delivered;
-  note_counter t "blocked_recoveries" s.blocked_recoveries
+  note_counter t "slot_reads" s.slot_reads
 
-let note_io_counters t (c : Semantics.Iosem.counters) =
+let note_io_counters t (c : Semantics.Conc.counters) =
   note_counter t "io.async_delivered" c.async_delivered;
   note_counter t "io.brackets_entered" c.brackets_entered;
   note_counter t "io.timeouts_fired" c.timeouts_fired;

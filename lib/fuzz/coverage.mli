@@ -11,7 +11,7 @@
       all the machinery hits the 17 non-failure kinds (lint-fail is a
       failure kind and is excluded from {!kind_coverage}).
     - {e stats buckets}: each {!Machine.Stats} counter (and the IO-layer
-      {!Semantics.Iosem.counters}) quantised to a power-of-two bucket.
+      {!Semantics.Conc.counters}) quantised to a power-of-two bucket.
       An input that drives a counter into a bucket never seen before
       (first collection, first poisoned thunk, ten-times-deeper stack)
       counts as new coverage even when it records no new event kind.
@@ -37,7 +37,8 @@ val note_counter : t -> string -> int -> unit
 
 val note_stats : t -> Machine.Stats.t -> unit
 
-val note_io_counters : t -> Semantics.Iosem.counters -> unit
+val note_io_counters : t -> Semantics.Conc.counters -> unit
+(** The IO core's counters, from either layer. *)
 
 val signature : t -> int * int
 (** [(kinds hit, stats buckets seen)] — compare before/after a run to

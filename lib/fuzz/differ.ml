@@ -1,7 +1,6 @@
 open Lang.Syntax
 module Denot = Semantics.Denot
 module Fixed = Semantics.Fixed
-module Io = Semantics.Iosem
 module Conc = Semantics.Conc
 module Oracle = Semantics.Oracle
 module Exn_set = Semantics.Exn_set
@@ -10,7 +9,6 @@ module Refine = Semantics.Refine
 module Stg = Machine.Stg
 module Stg_ref = Machine.Stg_ref
 module Bytecode = Machine.Bytecode
-module Machine_io = Machine.Machine_io
 module Machine_conc = Machine.Machine_conc
 
 type vconfig = {
@@ -343,241 +341,114 @@ let check_pure ?cov v t =
     tr "pure differential violation" !violations
 
 (* ------------------------------------------------------------------ *)
-(* IO programs: four layers + fault schedules                          *)
+(* IO programs: the semantic and machine layers + fault schedules      *)
 (* ------------------------------------------------------------------ *)
 
-let bracket_balance_io flag check (c : Io.counters) terminated =
-  if terminated && c.Io.brackets_entered <> c.Io.brackets_released then
-    flag check
-      (Printf.sprintf "brackets entered %d <> released %d"
-         c.Io.brackets_entered c.Io.brackets_released)
+let terminated = function Conc.Done _ | Conc.Uncaught _ -> true | _ -> false
 
-let bracket_balance_stats flag check (s : Machine.Stats.t) terminated =
-  if terminated && s.Machine.Stats.brackets_entered <> s.Machine.Stats.brackets_released
-  then
-    flag check
-      (Printf.sprintf "brackets entered %d <> released %d"
-         s.Machine.Stats.brackets_entered s.Machine.Stats.brackets_released)
+let bracket_balance flag check ~entered ~released terminated =
+  if terminated && entered <> released then
+    flag check (Printf.sprintf "brackets entered %d <> released %d" entered released)
 
-let check_io ?cov v ~seed t =
+(* Same termination class, and the same value up to which exception an
+   exceptional field carries. *)
+let same_class o1 o2 =
+  match (o1, o2) with
+  | Conc.Done d1, Conc.Done d2 ->
+      contains_bottom d1 || contains_bottom d2 || agree_modulo_exn d1 d2
+  | Conc.Uncaught _, Conc.Uncaught _
+  | Conc.Deadlock, Conc.Deadlock
+  | Conc.Diverged, Conc.Diverged
+  | Conc.Stuck _, Conc.Stuck _ ->
+      true
+  | _ -> false
+
+(* What the machine owes the semantic layer. Fuel budgets differ between
+   the engines, so divergence on either side is exempt; a sequential
+   program's value must implement the semantic one exactly. *)
+let outcomes_agree ~concurrent sem mach =
+  match (sem, mach) with
+  | Conc.Diverged, _ | _, Conc.Diverged -> true
+  | Conc.Done d1, Conc.Done d2 when not concurrent -> Refine.implements_deep d2 d1
+  | _ -> same_class sem mach
+
+(* One body for both entry points. A concurrent program owes agreement
+   only up to interleaving (output multisets, thread counts); a
+   sequential one owes an output prefix. A semantic run that picked
+   from ⊥ owes nothing on its final value: Section 5.3 lets that pick be
+   any exception, and the machine raised a particular one. *)
+let check_program ~concurrent ?cov v ~seed t =
   let w = Lang.Prelude.wrap t in
   let tr = Obs.create ~capacity:1024 ~on:true () in
   let violations = ref [] in
   let flag check detail = violations := { check; detail } :: !violations in
-  let dcfg = denot_config v in
-  let mcfg = stg_config v in
   let ts = timing_sensitive t in
-  (* Clean runs, deterministic oracle: strict cross-layer agreement. *)
-  let sem =
-    Io.run ~config:dcfg ~oracle:(Oracle.first ()) ~trace:tr ~input:""
+  let sem ?async oracle =
+    Conc.run ~config:(denot_config v) ~oracle ~trace:tr ~input:"" ?async
       ~max_steps:v.io_max_steps w
   in
-  let mio =
-    Machine_io.run ~config:mcfg ~trace:tr ~input:""
+  let mach ?async ?gc_every () =
+    Machine_conc.run ~config:(stg_config v) ~trace:tr ~input:"" ?async ?gc_every
       ~max_transitions:v.io_max_steps w
   in
-  let sem_out = Io.output_string_of sem in
-  (if not ts then begin
-     if not (is_prefix sem_out mio.Machine_io.output) then
-       flag "io-output"
-         (Printf.sprintf "iosem wrote %S, machine wrote %S" sem_out
-            mio.Machine_io.output);
-     let outcome_ok =
-       match (sem.Io.outcome, mio.Machine_io.outcome) with
-       | Io.Done d1, Machine_io.Done d2 -> Refine.implements_deep d2 d1
-       | Io.Uncaught _, Machine_io.Uncaught _ -> true
-       | Io.Io_diverged, _ | _, Machine_io.Io_diverged -> true
-       | Io.Stuck _, Machine_io.Stuck _ -> true
-       | _ -> false
-     in
-     if not outcome_ok then
-       flag "io-outcome"
-         (Fmt.str "iosem %a, machine %a" Io.pp_outcome sem.Io.outcome
-            Machine_io.pp_outcome mio.Machine_io.outcome)
-   end);
-  let sem_terminated =
-    match sem.Io.outcome with Io.Done _ | Io.Uncaught _ -> true | _ -> false
+  let balance name (c : Conc.counters) (mc : Conc.counters) so mo =
+    bracket_balance flag ("sem-" ^ name) ~entered:c.brackets_entered
+      ~released:c.brackets_released (terminated so);
+    bracket_balance flag ("machine-" ^ name) ~entered:mc.brackets_entered
+      ~released:mc.brackets_released (terminated mo)
   in
-  let mio_terminated =
-    match mio.Machine_io.outcome with
-    | Machine_io.Done _ | Machine_io.Uncaught _ -> true
-    | _ -> false
-  in
-  bracket_balance_io flag "iosem-bracket-balance" sem.Io.counters sem_terminated;
-  bracket_balance_stats flag "machine-io-bracket-balance" mio.Machine_io.stats
-    mio_terminated;
-  (* Concurrent layers run the same (single-threaded) program. *)
-  let csem =
-    Conc.run ~config:dcfg ~oracle:(Oracle.first ()) ~trace:tr ~input:""
-      ~max_steps:v.io_max_steps w
-  in
-  (if not ts then
-     let ok =
-       match (sem.Io.outcome, csem.Conc.outcome) with
-       | Io.Done d1, Conc.Done d2 ->
-           contains_bottom d1 || contains_bottom d2 || V.deep_equal d1 d2
-       | Io.Uncaught _, Conc.Uncaught _ -> true
-       | Io.Io_diverged, _ | _, Conc.Diverged -> true
-       | Io.Stuck _, Conc.Stuck _ -> true
-       | _ -> false
-     in
-     if not ok then
-       flag "iosem-vs-conc"
-         (Fmt.str "iosem %a, conc %a" Io.pp_outcome sem.Io.outcome
-            Conc.pp_outcome csem.Conc.outcome));
-  let mconc =
-    Machine_conc.run ~config:mcfg ~trace:tr ~input:""
-      ~max_transitions:v.io_max_steps w
-  in
-  (if not ts then
-     let ok =
-       match (mio.Machine_io.outcome, mconc.Machine_conc.outcome) with
-       | Machine_io.Done d1, Machine_conc.Done d2 ->
-           contains_bottom d1 || contains_bottom d2 || agree_modulo_exn d1 d2
-       | Machine_io.Uncaught _, Machine_conc.Uncaught _ -> true
-       | Machine_io.Io_diverged, _ | _, Machine_conc.Diverged -> true
-       | Machine_io.Stuck _, Machine_conc.Stuck _ -> true
-       | _ -> false
-     in
-     if not ok then
-       flag "machine-io-vs-machine-conc"
-         (Fmt.str "machine io %a, machine conc %a" Machine_io.pp_outcome
-            mio.Machine_io.outcome Machine_conc.pp_outcome
-            mconc.Machine_conc.outcome));
-  (* Fault schedule 1: GC every 3 transitions must be transparent. *)
-  let mio_gc =
-    Machine_io.run ~config:mcfg ~trace:tr ~input:""
-      ~max_transitions:v.io_max_steps ~gc_every:3 w
-  in
-  (if not ts then begin
-     if not (String.equal mio.Machine_io.output mio_gc.Machine_io.output) then
-       flag "gc-transparency-output"
-         (Printf.sprintf "without gc %S, with gc %S" mio.Machine_io.output
-            mio_gc.Machine_io.output);
-     let ok =
-       match (mio.Machine_io.outcome, mio_gc.Machine_io.outcome) with
-       | Machine_io.Done d1, Machine_io.Done d2 ->
-           contains_bottom d1 || contains_bottom d2 || agree_modulo_exn d1 d2
-       | Machine_io.Uncaught _, Machine_io.Uncaught _ -> true
-       | Machine_io.Io_diverged, Machine_io.Io_diverged -> true
-       | Machine_io.Stuck _, Machine_io.Stuck _ -> true
-       | _ -> false
-     in
-     if not ok then
-       flag "gc-transparency-outcome"
-         (Fmt.str "without gc %a, with gc %a" Machine_io.pp_outcome
-            mio.Machine_io.outcome Machine_io.pp_outcome
-            mio_gc.Machine_io.outcome)
-   end);
+  (* Clean runs, deterministic oracle: cross-layer agreement. *)
+  let s = sem (Oracle.first ()) and m = mach () in
+  let s_out = Conc.output_string_of s in
+  let tag = if concurrent then "conc" else "io" in
+  if not ts then begin
+    if s.counters.bottom_picks = 0 && not (outcomes_agree ~concurrent s.outcome m.outcome)
+    then
+      flag (tag ^ "-outcome")
+        (Fmt.str "semantic %a, machine %a" Conc.pp_outcome s.outcome Conc.pp_outcome
+           m.outcome);
+    if not concurrent then begin
+      if not (is_prefix s_out m.output) then
+        flag "io-output" (Printf.sprintf "semantic wrote %S, machine wrote %S" s_out m.output)
+    end
+    else begin
+      (match (s.outcome, m.outcome) with
+      | Conc.Done _, Conc.Done _ when multiset s_out <> multiset m.output ->
+          flag "conc-output-multiset"
+            (Printf.sprintf "semantic wrote %S, machine wrote %S" s_out m.output)
+      | _ -> ());
+      if s.threads_spawned <> m.threads_spawned then
+        flag "conc-threads-spawned"
+          (Printf.sprintf "semantic spawned %d, machine spawned %d" s.threads_spawned
+             m.threads_spawned)
+    end
+  end;
+  balance "bracket-balance" s.counters m.counters s.outcome m.outcome;
+  (* Fault schedule 1: a collection every 3 transitions must be
+     transparent. *)
+  let m_gc = mach ~gc_every:3 () in
+  if not ts then begin
+    if not (String.equal m.output m_gc.output) then
+      flag "gc-transparency-output"
+        (Printf.sprintf "without gc %S, with gc %S" m.output m_gc.output);
+    if not (same_class m.outcome m_gc.outcome) then
+      flag "gc-transparency-outcome"
+        (Fmt.str "without gc %a, with gc %a" Conc.pp_outcome m.outcome Conc.pp_outcome
+           m_gc.outcome)
+  end;
   (* Fault schedule 2: a seeded async interrupt — invariants only
      (delivery timing is layer-relative). *)
   let async_at = 2 + (abs seed mod 7) in
-  let sem_async =
-    Io.run ~config:dcfg ~oracle:(Oracle.create ~seed) ~trace:tr ~input:""
-      ~async:[ (async_at, Lang.Exn.Interrupt) ] ~max_steps:v.io_max_steps w
-  in
-  let mio_async =
-    Machine_io.run ~config:mcfg ~trace:tr ~input:""
-      ~async:[ (async_at * 20, Lang.Exn.Interrupt) ]
-      ~max_transitions:v.io_max_steps w
-  in
-  bracket_balance_io flag "iosem-async-bracket-balance" sem_async.Io.counters
-    (match sem_async.Io.outcome with
-    | Io.Done _ | Io.Uncaught _ -> true
-    | _ -> false);
-  bracket_balance_stats flag "machine-io-async-bracket-balance"
-    mio_async.Machine_io.stats
-    (match mio_async.Machine_io.outcome with
-    | Machine_io.Done _ | Machine_io.Uncaught _ -> true
-    | _ -> false);
-  note_cov cov tr
-    [ mio.Machine_io.stats; mio_gc.Machine_io.stats; mio_async.Machine_io.stats;
-      mconc.Machine_conc.stats ]
-    [ sem.Io.counters; csem.Conc.counters; sem_async.Io.counters ];
+  let s_a = sem ~async:[ (async_at, Lang.Exn.Interrupt) ] (Oracle.create ~seed) in
+  let m_a = mach ~async:[ (async_at * 20, Lang.Exn.Interrupt) ] () in
+  balance "async-bracket-balance" s_a.counters m_a.counters s_a.outcome m_a.outcome;
+  note_cov cov tr [ m.stats; m_gc.stats; m_a.stats ]
+    [ s.counters; s_a.counters; m.counters; m_gc.counters; m_a.counters ];
   finish
     ~extra:[ ("program", Lang.Pretty.expr_to_string t) ]
-    tr "io differential violation" !violations
+    tr
+    (tag ^ " differential violation")
+    !violations
 
-(* ------------------------------------------------------------------ *)
-(* Concurrent programs: the two concurrent layers                      *)
-(* ------------------------------------------------------------------ *)
-
-let check_conc ?cov v ~seed t =
-  let w = Lang.Prelude.wrap t in
-  let tr = Obs.create ~capacity:1024 ~on:true () in
-  let violations = ref [] in
-  let flag check detail = violations := { check; detail } :: !violations in
-  let dcfg = denot_config v in
-  let mcfg = stg_config v in
-  let ts = timing_sensitive t in
-  let csem =
-    Conc.run ~config:dcfg ~oracle:(Oracle.first ()) ~trace:tr ~input:""
-      ~max_steps:v.io_max_steps w
-  in
-  let mconc =
-    Machine_conc.run ~config:mcfg ~trace:tr ~input:""
-      ~max_transitions:v.io_max_steps w
-  in
-  (if not ts then begin
-     let ok =
-       match (csem.Conc.outcome, mconc.Machine_conc.outcome) with
-       | Conc.Done d1, Machine_conc.Done d2 ->
-           contains_bottom d1 || contains_bottom d2 || agree_modulo_exn d1 d2
-       | Conc.Uncaught _, Machine_conc.Uncaught _ -> true
-       | Conc.Deadlock, Machine_conc.Deadlock -> true
-       | Conc.Diverged, _ | _, Machine_conc.Diverged -> true
-       | Conc.Stuck _, Machine_conc.Stuck _ -> true
-       | _ -> false
-     in
-     if not ok then
-       flag "conc-outcome"
-         (Fmt.str "semantic %a, machine %a" Conc.pp_outcome csem.Conc.outcome
-            Machine_conc.pp_outcome mconc.Machine_conc.outcome);
-     (match (csem.Conc.outcome, mconc.Machine_conc.outcome) with
-     | Conc.Done _, Machine_conc.Done _ ->
-         let so = Conc.output_string_of csem in
-         if multiset so <> multiset mconc.Machine_conc.output then
-           flag "conc-output-multiset"
-             (Printf.sprintf "semantic wrote %S, machine wrote %S" so
-                mconc.Machine_conc.output)
-     | _ -> ());
-     if csem.Conc.threads_spawned <> mconc.Machine_conc.threads_spawned then
-       flag "conc-threads-spawned"
-         (Printf.sprintf "semantic spawned %d, machine spawned %d"
-            csem.Conc.threads_spawned mconc.Machine_conc.threads_spawned)
-   end);
-  bracket_balance_io flag "conc-bracket-balance" csem.Conc.counters
-    (match csem.Conc.outcome with
-    | Conc.Done _ | Conc.Uncaught _ -> true
-    | _ -> false);
-  bracket_balance_stats flag "machine-conc-bracket-balance"
-    mconc.Machine_conc.stats
-    (match mconc.Machine_conc.outcome with
-    | Machine_conc.Done _ | Machine_conc.Uncaught _ -> true
-    | _ -> false);
-  (* Async fault: invariants only. *)
-  let async_at = 2 + (abs seed mod 5) in
-  let csem_a =
-    Conc.run ~config:dcfg ~oracle:(Oracle.create ~seed) ~trace:tr ~input:""
-      ~async:[ (async_at, Lang.Exn.Interrupt) ] ~max_steps:v.io_max_steps w
-  in
-  let mconc_a =
-    Machine_conc.run ~config:mcfg ~trace:tr ~input:""
-      ~async:[ (async_at * 20, Lang.Exn.Interrupt) ]
-      ~max_transitions:v.io_max_steps w
-  in
-  bracket_balance_io flag "conc-async-bracket-balance" csem_a.Conc.counters
-    (match csem_a.Conc.outcome with
-    | Conc.Done _ | Conc.Uncaught _ -> true
-    | _ -> false);
-  bracket_balance_stats flag "machine-conc-async-bracket-balance"
-    mconc_a.Machine_conc.stats
-    (match mconc_a.Machine_conc.outcome with
-    | Machine_conc.Done _ | Machine_conc.Uncaught _ -> true
-    | _ -> false);
-  note_cov cov tr
-    [ mconc.Machine_conc.stats; mconc_a.Machine_conc.stats ]
-    [ csem.Conc.counters; csem_a.Conc.counters ];
-  finish
-    ~extra:[ ("program", Lang.Pretty.expr_to_string t) ]
-    tr "concurrency differential violation" !violations
+let check_io = check_program ~concurrent:false
+let check_conc = check_program ~concurrent:true

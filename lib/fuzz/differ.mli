@@ -12,15 +12,17 @@
     - the machine agrees with fixed-order left-to-right (both are
       deterministic left-to-right call-by-need evaluators).
 
-    IO and concurrent programs run through the four IO layers with a
-    shared flight recorder, under a clean schedule (strict cross-layer
-    agreement, [Oracle.first]), a GC-every-3-transitions schedule
-    (collections must be transparent), and a seeded asynchronous
-    schedule (invariants only: termination classes and bracket balance —
-    delivery timing is layer-relative, so exact agreement is not owed).
-    Programs containing [WithTimeout]/[Retry] are {e timing-sensitive}:
-    the layers count ticks differently, so only the invariant checks
-    apply to them.
+    IO and concurrent programs run through the two IO layers — the one
+    IO core over the denotation ({!Semantics.Conc}) and over the machine
+    ({!Machine.Machine_conc}) — with a shared flight recorder, under a
+    clean schedule (cross-layer agreement, [Oracle.first]), a
+    GC-every-3-transitions schedule on the machine (collections must be
+    transparent), and a seeded asynchronous schedule (invariants only:
+    bracket balance — delivery timing is layer-relative, so exact
+    agreement is not owed). Programs containing [WithTimeout]/[Retry]
+    are {e timing-sensitive}: the layers count ticks differently, so
+    only the invariant checks apply to them. A semantic run whose oracle
+    picked from ⊥ owes no agreement on its final value (Section 5.3).
 
     Machine fuel-exhaustion and denotational fuel differ, so any side
     whose result contains [DBad All] (bottom) is exempt from exact
@@ -75,12 +77,13 @@ val check_pure : ?cov:Coverage.t -> vconfig -> Lang.Syntax.expr -> result
 
 val check_io :
   ?cov:Coverage.t -> vconfig -> seed:int -> Lang.Syntax.expr -> result
-(** Cross-check one [IO Int] program across {!Semantics.Iosem},
-    {!Machine.Machine_io} and the two concurrent layers, plus the GC and
-    async fault schedules. [seed] drives the seeded-oracle fault run. *)
+(** Cross-check one sequential [IO Int] program: the machine's output
+    extends the semantic one and its value implements the semantic
+    value; plus the GC and async fault schedules. [seed] drives the
+    seeded-oracle fault run. *)
 
 val check_conc :
   ?cov:Coverage.t -> vconfig -> seed:int -> Lang.Syntax.expr -> result
-(** Cross-check one concurrent program ({!Semantics.Conc} vs
-    {!Machine.Machine_conc}): termination classes, output multisets,
-    thread counts, bracket balance; plus an async fault schedule. *)
+(** Cross-check one concurrent program: termination classes, output
+    multisets, thread counts and bracket balance, plus the same fault
+    schedules as {!check_io}. *)

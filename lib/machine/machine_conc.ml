@@ -1,16 +1,7 @@
-open Lang.Syntax
 module Exn = Lang.Exn
 module R = Lang.Resolve
-module Fifo = Sched.Fifo
-module Bitq = Sched.Bitq
-module Heap = Sched.Heap
-
-type outcome =
-  | Done of Semantics.Sem_value.deep
-  | Uncaught of Exn.t
-  | Deadlock
-  | Diverged
-  | Stuck of string
+module Core = Semantics.Io_core
+include Core.Types
 
 type result = {
   output : string;
@@ -18,918 +9,141 @@ type result = {
   threads_spawned : int;
   transitions : int;
   stats : Stats.t;
+  counters : counters;
 }
 
-let pp_outcome ppf = function
-  | Done d -> Fmt.pf ppf "Done %a" Semantics.Sem_value.pp_deep d
-  | Uncaught e -> Fmt.pf ppf "Uncaught %a" Exn.pp e
-  | Deadlock -> Fmt.string ppf "Deadlock"
-  | Diverged -> Fmt.string ppf "Diverged"
-  | Stuck msg -> Fmt.pf ppf "Stuck %S" msg
+(* The abstract-machine evaluator: values are heap addresses, a failure
+   is the single exception the stack-trimming machine met first. *)
+module Eval = struct
+  type t = Stg.t
+  type v = Stg.addr
 
-(* Per-thread IO continuation frames; see {!Machine_io}. *)
-type frame =
-  | F_k of Stg.addr
-  | F_bracket of Stg.addr * Stg.addr
-  | F_release of Stg.addr
-  | F_onexn of Stg.addr
-  | F_mask_pop
-  | F_unmask_pop
-  | F_timeout of int  (** deadline in scheduler transitions *)
-  | F_retry of Stg.addr * int * int
-  | F_rethrow of Exn.t
-  | F_restore of Stg.addr
-  | F_catch
-      (** [getException] on an IO action (GHC's [try]): a normal result
-          pops as [OK v], an unwinding exception — including one
-          delivered while the thread is blocked — stops here as [Bad]. *)
+  let failure : Stg.failure -> Core.failure = function
+    | Stg.Fail_exn x -> Exn x
+    | Stg.Fail_diverged -> Exn Exn.Non_termination
+    | Stg.Fail_async _ -> Ill "async event outside getException"
 
-type thread_state =
-  | Runnable of Stg.addr * frame list  (** IO value, continuation frames *)
-  | Blocked_take of int * frame list
-  | Blocked_put of int * Stg.addr * frame list
-  | Blocked_read of int * frame list  (** channel, frames *)
-  | Blocked_write of int * Stg.addr * frame list
-      (** channel, value to deposit, frames *)
-  | Sleeping of int * Stg.addr * frame list
-      (** Wake at the given transition count ([Retry] backoff). *)
-  | Finished
+  let io_of_con c (args : v array) : v Core.io =
+    match args with
+    | [| v |] when c = R.t_return -> Return v
+    | [| m1; k |] when c = R.t_bind -> Bind (m1, k)
+    | [||] when c = R.t_get_char -> Get_char
+    | [| v |] when c = R.t_put_char -> Put_char v
+    | [| v |] when c = R.t_get_exception -> Get_exception v
+    | [| v |] when c = R.t_evaluate -> Evaluate v
+    | [| acq; rel; use |] when c = R.t_bracket -> Bracket (acq, rel, use)
+    | [| m1; h |] when c = R.t_on_exception -> On_exception (m1, h)
+    | [| m1 |] when c = R.t_mask -> Mask m1
+    | [| m1 |] when c = R.t_unmask -> Unmask m1
+    | [| n; m1 |] when c = R.t_timeout -> Timeout (n, m1)
+    | [| n; b; m1 |] when c = R.t_retry -> Retry (n, b, m1)
+    | [| m1 |] when c = R.t_fork -> Fork m1
+    | [||] when c = R.t_new_mvar -> New_mvar
+    | [| r |] when c = R.t_take_mvar -> Take_mvar r
+    | [| r; v |] when c = R.t_put_mvar -> Put_mvar (r, v)
+    | [| n |] when c = R.t_new_chan -> New_chan n
+    | [| r |] when c = R.t_read_chan -> Read_chan r
+    | [| r; v |] when c = R.t_write_chan -> Write_chan (r, v)
+    | [||] when c = R.t_my_thread_id -> My_thread_id
+    | [| tt; et |] when c = R.t_throw_to -> Throw_to (tt, et)
+    | _ -> Not_io
 
-type thread = {
-  tid : int;
-  mutable state : thread_state;
-  mutable mask : int;
-  mutable pending_exns : Exn.t list;
-      (** Thread-targeted asynchronous exceptions ([throwTo], kill
-          schedules), FIFO, delivered only while [mask = 0] (channel
-          blocking is interruptible regardless of mask). *)
-  mutable stamp : int;
-      (** Round in which the thread last became runnable; the stepping
-          cursor skips current-round stamps, reproducing the seed's
-          snapshot-per-round schedule. See {!Semantics.Conc}. *)
-  mutable blocked_on : (int Fifo.t * int Fifo.node) option;
-      (** The incrementally maintained blocked-on edge. *)
-}
+  let action m a : v Core.io =
+    match Stg.force m a with
+    | Error f -> Failed (failure f)
+    | Ok (Stg.MCon (c, args)) -> io_of_con c args
+    | Ok _ -> Not_io
 
-type mvar = {
-  mutable contents : Stg.addr option;
-  take_waiters : int Fifo.t;
-  put_waiters : int Fifo.t;
-}
+  let read m a : (v Core.data, Core.failure) Stdlib.result =
+    match Stg.force m a with
+    | Error f -> Error (failure f)
+    | Ok (Stg.MInt n) -> Ok (Int n)
+    | Ok (Stg.MChar c) -> Ok (Char c)
+    | Ok (Stg.MCon (c, [| id |]))
+      when c = R.t_mvar_ref || c = R.t_chan_ref || c = R.t_thread_id -> (
+        match Stg.force m id with
+        | Error f -> Error (failure f)
+        | Ok (Stg.MInt n) ->
+            Ok
+              (if c = R.t_mvar_ref then MVarRef n
+               else if c = R.t_chan_ref then ChanRef n
+               else ThreadId n)
+        | Ok _ -> Ok Other)
+    | Ok _ -> Ok Other
 
-(* A bounded channel; see {!Semantics.Conc} for the invariants. *)
-type chan = {
-  cap : int;
-  buf : Stg.addr Queue.t;
-  readers : int Fifo.t;
-  writers : int Fifo.t;
-}
+  let exn m a =
+    match Stg.force m a with
+    | Error f -> Error (failure f)
+    | Ok v -> (
+        match Stg.mvalue_to_exn m v with
+        | Ok x -> Ok x
+        | Error (Stg.Exn_err x) -> Error (Core.Exn x)
+        | Error Stg.Not_exn -> Error (Core.Exn (Exn.Type_error "throwTo: not an exception")))
 
-let debug_default () = Sys.getenv_opt "IMPEXN_SCHED_DEBUG" <> None
+  (* The machine delivers injected events itself, mid-evaluation, to a
+     catch mark whose thread is unmasked: sync the thread's mask depth
+     in first. The machine records the catch events. *)
+  let catch m ~mask ~clock:_ a : v Core.caught =
+    Stg.set_mask_depth m mask;
+    match Stg.force_catch m a with
+    | Ok (Stg.MCon (c, _)) when R.is_io_action_tag c -> Action a
+    | Ok _ -> Value a
+    | Error (Stg.Fail_exn x) -> Caught (Exn x)
+    | Error (Stg.Fail_async x) -> Async x
+    | Error Stg.Fail_diverged -> Caught (Exn Exn.Non_termination)
+
+  let evaluate m a =
+    match Stg.force m a with Ok v -> Ok (Stg.alloc_value m v) | Error f -> Error (failure f)
+
+  let bind m k a =
+    match Stg.force m k with
+    | Ok (Stg.MClo _) -> Ok (Stg.alloc_app m k a)
+    | Ok _ -> Error (Core.Ill ">>=: continuation is not a function")
+    | Error f -> Error (failure f)
+
+  let apply = Stg.alloc_app
+  let con m c args = Stg.alloc_value m (Stg.MCon (c, args))
+  let ref_ m c n = con m c [| Stg.alloc_value m (Stg.MInt n) |]
+
+  let make m : v Core.data -> v = function
+    | Unit -> con m R.t_unit [||]
+    | Int n -> Stg.alloc_value m (Stg.MInt n)
+    | Char c -> Stg.alloc_value m (Stg.MChar c)
+    | OK a -> con m R.t_ok [| a |]
+    | Bad x -> con m R.t_bad [| Stg.alloc_value m (Stg.exn_to_mvalue m x) |]
+    | Just a -> con m R.t_just [| a |]
+    | Nothing -> con m R.t_nothing [||]
+    | MVarRef n -> ref_ m R.t_mvar_ref n
+    | ChanRef n -> ref_ m R.t_chan_ref n
+    | ThreadId n -> ref_ m R.t_thread_id n
+    | Other -> invalid_arg "Machine_conc.make"
+
+  let return m a = con m R.t_return [| a |]
+
+  (* The step budget is refuelled at every transition, so one divergent
+     transition does not starve the rest of the program. *)
+  let refill = Stg.refuel
+  let deep m a = Stg.deep m a
+  let gc m roots = Stg.gc m ~roots
+end
+
+module Run = Core.Make (Eval)
 
 let run ?config ?trace ?(input = "") ?(async = []) ?(kills = [])
-    ?(check_invariants = debug_default ()) ?(max_transitions = 100_000)
-    (e : expr) =
+    ?(check_invariants = Core.debug_default ()) ?(max_transitions = 100_000) ?gc_every
+    (e : Lang.Syntax.expr) =
   let m = Stg.create ?config ?trace () in
-  let tr = Stg.trace m in
   List.iter (fun (k, x) -> Stg.inject_async m ~at_step:k x) async;
-  let stats = Stg.stats m in
-  let buf = Buffer.create 64 in
-  let input_pos = ref 0 in
-  let threads : (int, thread) Hashtbl.t = Hashtbl.create 64 in
-  let next_tid = ref 0 in
-  let spawned = ref 0 in
-  let transitions = ref 0 in
-  let round = ref 0 in
-  let mvars : (int, mvar) Hashtbl.t = Hashtbl.create 8 in
-  let next_mvar = ref 0 in
-  let chans : (int, chan) Hashtbl.t = Hashtbl.create 8 in
-  let next_chan = ref 0 in
-  let main_result : outcome option ref = ref None in
-
-  (* The scheduler indices; see {!Semantics.Conc} for the discipline. *)
-  let runq = Bitq.create () in
-  let blockedq = Bitq.create () in
-  let signaled = Bitq.create () in
-  let sleep_heap = Heap.create () in
-  let n_sleeping = ref 0 in
-
-  let find_thread tid = Hashtbl.find threads tid in
-  let find_thread_opt tid = Hashtbl.find_opt threads tid in
-
-  let set_state (t : thread) (st : thread_state) =
-    (match t.state with
-    | Runnable _ -> Bitq.remove runq t.tid
-    | Blocked_take _ | Blocked_put _ | Blocked_read _ | Blocked_write _ ->
-        Bitq.remove blockedq t.tid;
-        (match t.blocked_on with
-        | Some (q, n) -> Fifo.remove q n
-        | None -> ());
-        t.blocked_on <- None
-    | Sleeping _ -> decr n_sleeping
-    | Finished -> ());
-    t.state <- st;
-    match st with
-    | Runnable _ ->
-        Bitq.add runq t.tid;
-        t.stamp <- !round
-    | Blocked_take _ | Blocked_put _ | Blocked_read _ | Blocked_write _ ->
-        Bitq.add blockedq t.tid;
-        if t.pending_exns <> [] then Bitq.add signaled t.tid
-    | Sleeping (until, _, _) ->
-        incr n_sleeping;
-        Heap.push sleep_heap until t.tid;
-        if t.pending_exns <> [] then Bitq.add signaled t.tid
-    | Finished -> ()
+  let counters = fresh_counters () in
+  let r =
+    Run.run m ~trace:(Stg.trace m) ~counters ~input ~kills ~check_invariants
+      ~max_steps:max_transitions ~gc_every (Stg.alloc m e)
   in
-
-  let kills = ref kills in
-  let new_thread addr frames =
-    let tid = !next_tid in
-    incr next_tid;
-    incr spawned;
-    let t =
-      {
-        tid;
-        state = Finished;
-        mask = 0;
-        pending_exns = [];
-        stamp = 0;
-        blocked_on = None;
-      }
-    in
-    Hashtbl.replace threads tid t;
-    set_state t (Runnable (addr, frames));
-    t
-  in
-  let main_thread = new_thread (Stg.alloc m e) [] in
-
-  let ret_value v =
-    Stg.alloc_value m (Stg.MCon (R.t_return, [| Stg.alloc_value m v |]))
-  in
-  let ret_addr a = Stg.alloc_value m (Stg.MCon (R.t_return, [| a |])) in
-  let unit_v = Stg.MCon (R.t_unit, [||]) in
-
-  let finish (t : thread) (value_addr : Stg.addr) =
-    if t.tid = main_thread.tid then
-      main_result := Some (Done (Stg.deep m value_addr));
-    set_state t Finished
-  in
-  let die (t : thread) exn =
-    if t.tid = main_thread.tid then main_result := Some (Uncaught exn);
-    set_state t Finished
-  in
-
-  let restore_mask () = Stg.set_mask_depth m (Stg.mask_depth m + 1) in
-
-  (* Normal return through [t]'s frames (machine mask depth is synced to
-     [t] while this runs). *)
-  let rec pop_t (t : thread) (v : Stg.addr) (stack : frame list) : unit =
-    match stack with
-    | [] -> finish t v
-    | F_k k :: rest -> (
-        match Stg.force m k with
-        | Ok (Stg.MClo _) ->
-            set_state t (Runnable (Stg.alloc_app m k v, rest))
-        | Ok _ -> main_result := Some (Stuck ">>=: not a function")
-        | Error (Stg.Fail_exn exn) -> unwind_t t exn rest
-        | Error _ -> unwind_t t Exn.Non_termination rest)
-    | F_bracket (rel, use) :: rest ->
-        stats.Stats.brackets_entered <- stats.Stats.brackets_entered + 1;
-        if Obs.on tr then Obs.record tr Obs.Ev_acquire;
-        Stg.pop_mask m;
-        set_state t
-          (Runnable
-             (Stg.alloc_app m use v, F_release (Stg.alloc_app m rel v) :: rest))
-    | F_release r :: rest ->
-        stats.Stats.brackets_released <- stats.Stats.brackets_released + 1;
-        if Obs.on tr then Obs.record tr Obs.Ev_release;
-        Stg.push_mask m;
-        set_state t (Runnable (r, F_mask_pop :: F_restore v :: rest))
-    | F_onexn _ :: rest -> pop_t t v rest
-    | F_mask_pop :: rest ->
-        Stg.pop_mask m;
-        pop_t t v rest
-    | F_unmask_pop :: rest ->
-        restore_mask ();
-        pop_t t v rest
-    | F_timeout _ :: rest ->
-        pop_t t (Stg.alloc_value m (Stg.MCon (R.t_just, [| v |]))) rest
-    | F_retry _ :: rest -> pop_t t v rest
-    | F_rethrow exn :: rest -> unwind_t t exn rest
-    | F_restore saved :: rest -> pop_t t saved rest
-    | F_catch :: rest ->
-        if Obs.on tr then Obs.record tr (Obs.Ev_catch None);
-        pop_t t (Stg.alloc_value m (Stg.MCon (R.t_ok, [| v |]))) rest
-
-  and unwind_t (t : thread) (exn : Exn.t) (stack : frame list) : unit =
-    match stack with
-    | [] -> die t exn
-    | F_k _ :: rest -> unwind_t t exn rest
-    | F_bracket _ :: rest ->
-        Stg.pop_mask m;
-        unwind_t t exn rest
-    | F_release r :: rest ->
-        stats.Stats.brackets_released <- stats.Stats.brackets_released + 1;
-        if Obs.on tr then Obs.record tr Obs.Ev_release;
-        Stg.push_mask m;
-        set_state t (Runnable (r, F_mask_pop :: F_rethrow exn :: rest))
-    | F_onexn h :: rest ->
-        Stg.push_mask m;
-        set_state t (Runnable (h, F_mask_pop :: F_rethrow exn :: rest))
-    | F_mask_pop :: rest ->
-        Stg.pop_mask m;
-        unwind_t t exn rest
-    | F_unmask_pop :: rest ->
-        restore_mask ();
-        unwind_t t exn rest
-    | F_timeout _ :: rest when exn = Exn.Timeout ->
-        pop_t t (Stg.alloc_value m (Stg.MCon (R.t_nothing, [||]))) rest
-    | F_timeout _ :: rest -> unwind_t t exn rest
-    | F_retry (action, attempts, backoff) :: rest ->
-        if attempts > 0 then
-          set_state t
-            (Sleeping
-               ( !transitions + backoff,
-                 action,
-                 F_retry (action, attempts - 1, 2 * backoff) :: rest ))
-        else unwind_t t exn rest
-    | F_rethrow _ :: rest -> unwind_t t exn rest
-    | F_restore _ :: rest -> unwind_t t exn rest
-    | F_catch :: rest ->
-        if Obs.on tr then Obs.record tr (Obs.Ev_catch (Some exn));
-        let ev = Stg.alloc_value m (Stg.exn_to_mvalue m exn) in
-        pop_t t (Stg.alloc_value m (Stg.MCon (R.t_bad, [| ev |]))) rest
-  in
-
-  (* A normal (value-carrying) wake of an MVar waiter: the caller has
-     already popped [tid] from the waiter queue. *)
-  let wake tid =
-    let t = find_thread tid in
-    match t.state with
-    | Blocked_take (mv, frames) -> (
-        let s = Hashtbl.find mvars mv in
-        match s.contents with
-        | Some v ->
-            s.contents <- None;
-            set_state t (Runnable (ret_addr v, frames))
-        | None -> ())
-    | Blocked_put (mv, v, frames) -> (
-        let s = Hashtbl.find mvars mv in
-        match s.contents with
-        | None ->
-            s.contents <- Some v;
-            set_state t (Runnable (ret_value unit_v, frames))
-        | Some _ -> ())
-    | Runnable _ | Blocked_read _ | Blocked_write _ | Sleeping _ | Finished
-      ->
-        ()
-  in
-
-  (* Channel wakes; the invariants guarantee the preconditions (see
-     {!Semantics.Conc}). *)
-  let wake_reader tid =
-    let t = find_thread tid in
-    match t.state with
-    | Blocked_read (id, frames) ->
-        let c = Hashtbl.find chans id in
-        let v = Queue.pop c.buf in
-        set_state t (Runnable (ret_addr v, frames))
-    | _ -> ()
-  in
-  let wake_writer tid =
-    let t = find_thread tid in
-    match t.state with
-    | Blocked_write (id, v, frames) ->
-        let c = Hashtbl.find chans id in
-        Queue.push v c.buf;
-        set_state t (Runnable (ret_value unit_v, frames))
-    | _ -> ()
-  in
-
-  let take_pending_exn (t : thread) =
-    if t.mask > 0 then None
-    else
-      match t.pending_exns with
-      | [] -> None
-      | x :: rest ->
-          t.pending_exns <- rest;
-          Some x
-  in
-
-  (* Channel blocking is interruptible regardless of mask (PLDI'01). *)
-  let take_pending_exn_interruptible (t : thread) =
-    match t.pending_exns with
-    | [] -> None
-    | x :: rest ->
-        t.pending_exns <- rest;
-        Some x
-  in
-
-  (* Thread-targeted delivery by unwinding [t]'s frames: releases and
-     handlers run, an [F_catch] (getException-on-IO) stops it. The
-     machine mask depth is synced to [t] for the duration, since this
-     may run from the scheduler, outside [step]; the blocked-on edge is
-     detached by [set_state] when the unwind leaves the blocked state. *)
-  let deliver_unwind (t : thread) (x : Exn.t) (frames : frame list) =
-    stats.Stats.throwtos_delivered <- stats.Stats.throwtos_delivered + 1;
-    if Obs.on tr then Obs.record tr (Obs.Ev_kill_delivered (t.tid, x));
-    Stg.set_mask_depth m t.mask;
-    unwind_t t x frames;
-    t.mask <- Stg.mask_depth m
-  in
-
-  (* Queue a thread-targeted exception and flag the target for
-     round-start delivery if it cannot reach a delivery point itself. *)
-  let enqueue_pending (target : int) (x : Exn.t) =
-    match find_thread_opt target with
-    | None -> () (* unknown target: no-op *)
-    | Some tgt -> (
-        match tgt.state with
-        | Finished -> () (* dead target: send is a no-op *)
-        | Runnable _ -> tgt.pending_exns <- tgt.pending_exns @ [ x ]
-        | Blocked_take _ | Blocked_put _ | Blocked_read _ | Blocked_write _
-        | Sleeping _ ->
-            tgt.pending_exns <- tgt.pending_exns @ [ x ];
-            Bitq.add signaled tgt.tid)
-  in
-
-  let as_mvar_id v =
-    match v with
-    | Stg.MCon (c, [| idt |]) when c = R.t_mvar_ref -> (
-        match Stg.force m idt with
-        | Ok (Stg.MInt id) -> Result.Ok id
-        | _ -> Result.Error "corrupt MVar reference")
-    | _ -> Result.Error "not an MVar"
-  in
-
-  let as_chan_id v =
-    match v with
-    | Stg.MCon (c, [| idt |]) when c = R.t_chan_ref -> (
-        match Stg.force m idt with
-        | Ok (Stg.MInt id) -> Result.Ok id
-        | _ -> Result.Error "corrupt channel reference")
-    | _ -> Result.Error "not a channel"
-  in
-
-  let expired (t : thread) stack =
-    t.mask = 0
-    && List.exists
-         (function F_timeout d -> d <= !transitions | _ -> false)
-         stack
-  in
-
-  let step_runnable (t : thread) (addr : Stg.addr) (frames : frame list) :
-      unit =
-    if expired t frames then begin
-      stats.Stats.timeouts_fired <- stats.Stats.timeouts_fired + 1;
-      if Obs.on tr then Obs.record tr (Obs.Ev_io "timeout fired");
-      unwind_t t Exn.Timeout frames
-    end
-    else
-      match Stg.force m addr with
-      | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-      | Error Stg.Fail_diverged -> unwind_t t Exn.Non_termination frames
-      | Error (Stg.Fail_async _) ->
-          main_result := Some (Stuck "async outside getException")
-      | Ok (Stg.MCon (c, [| v |])) when c = R.t_return ->
-          pop_t t v frames
-      | Ok (Stg.MCon (c, [| m1; k |])) when c = R.t_bind ->
-          set_state t (Runnable (m1, F_k k :: frames))
-      | Ok (Stg.MCon (c, [||])) when c = R.t_get_char ->
-          if !input_pos >= String.length input then
-            main_result := Some (Stuck "getChar: end of input")
-          else begin
-            let ch = input.[!input_pos] in
-            incr input_pos;
-            set_state t (Runnable (ret_value (Stg.MChar ch), frames))
-          end
-      | Ok (Stg.MCon (c, [| v |])) when c = R.t_put_char -> (
-          match Stg.force m v with
-          | Ok (Stg.MChar ch) ->
-              Buffer.add_char buf ch;
-              set_state t (Runnable (ret_value unit_v, frames))
-          | Ok _ -> main_result := Some (Stuck "putChar: not a character")
-          | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-          | Error _ -> unwind_t t Exn.Non_termination frames)
-      | Ok (Stg.MCon (c, [| v |])) when c = R.t_get_exception -> (
-          match Stg.force_catch m v with
-          | Ok (Stg.MCon (ca, _)) when R.is_io_action_tag ca ->
-              (* getException of an IO action (GHC's [try]): perform it
-                 under a catch frame; [v] is updated to its WHNF. *)
-              set_state t (Runnable (v, F_catch :: frames))
-          | Ok _ ->
-              set_state t
-                (Runnable (ret_value (Stg.MCon (R.t_ok, [| v |])), frames))
-          | Error (Stg.Fail_exn exn) | Error (Stg.Fail_async exn) ->
-              let ev = Stg.alloc_value m (Stg.exn_to_mvalue m exn) in
-              set_state t
-                (Runnable (ret_value (Stg.MCon (R.t_bad, [| ev |])), frames))
-          | Error Stg.Fail_diverged ->
-              let ev =
-                Stg.alloc_value m (Stg.exn_to_mvalue m Exn.Non_termination)
-              in
-              set_state t
-                (Runnable (ret_value (Stg.MCon (R.t_bad, [| ev |])), frames)))
-      | Ok (Stg.MCon (c, [| v |])) when c = R.t_evaluate -> (
-          (* evaluate e: force the argument at exactly this point in the
-             thread's IO sequence (see Machine_io). *)
-          match Stg.force m v with
-          | Ok value ->
-              let va = Stg.alloc_value m value in
-              set_state t (Runnable (ret_addr va, frames))
-          | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-          | Error Stg.Fail_diverged -> unwind_t t Exn.Non_termination frames
-          | Error (Stg.Fail_async _) ->
-              main_result := Some (Stuck "async outside getException"))
-      | Ok (Stg.MCon (c, [| acq; rel; use |])) when c = R.t_bracket ->
-          Stg.push_mask m;
-          set_state t (Runnable (acq, F_bracket (rel, use) :: frames))
-      | Ok (Stg.MCon (c, [| m1; h |])) when c = R.t_on_exception ->
-          set_state t (Runnable (m1, F_onexn h :: frames))
-      | Ok (Stg.MCon (c, [| m1 |])) when c = R.t_mask ->
-          Stg.push_mask m;
-          set_state t (Runnable (m1, F_mask_pop :: frames))
-      | Ok (Stg.MCon (c, [| m1 |])) when c = R.t_unmask ->
-          Stg.pop_mask m;
-          set_state t (Runnable (m1, F_unmask_pop :: frames))
-      | Ok (Stg.MCon (c, [| nt; m1 |])) when c = R.t_timeout -> (
-          match Stg.force m nt with
-          | Ok (Stg.MInt k) ->
-              set_state t
-                (Runnable (m1, F_timeout (!transitions + max 0 k) :: frames))
-          | Ok _ ->
-              main_result := Some (Stuck "timeout: budget is not an integer")
-          | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-          | Error _ -> unwind_t t Exn.Non_termination frames)
-      | Ok (Stg.MCon (c, [| nt; bt; m1 |])) when c = R.t_retry -> (
-          match (Stg.force m nt, Stg.force m bt) with
-          | Ok (Stg.MInt attempts), Ok (Stg.MInt backoff) ->
-              set_state t
-                (Runnable
-                   (m1, F_retry (m1, max 0 attempts, max 1 backoff) :: frames))
-          | Error (Stg.Fail_exn exn), _ | _, Error (Stg.Fail_exn exn) ->
-              unwind_t t exn frames
-          | Error _, _ | _, Error _ ->
-              unwind_t t Exn.Non_termination frames
-          | _ ->
-              main_result :=
-                Some (Stuck "retry: attempts/backoff are not integers"))
-      | Ok (Stg.MCon (c, [| m1 |])) when c = R.t_fork ->
-          let child = new_thread m1 [] in
-          (* The child starts at the parent's mask depth: a thread forked
-             inside an acquire is born protected, so an async exception
-             cannot slip in before its own mask/bracket. *)
-          child.mask <- Stg.mask_depth m;
-          if Obs.on tr then
-            Obs.record tr
-              (Obs.Ev_io (Printf.sprintf "fork thread %d" child.tid));
-          set_state t (Runnable (ret_value unit_v, frames))
-      | Ok (Stg.MCon (c, [||])) when c = R.t_new_mvar ->
-          let id = !next_mvar in
-          incr next_mvar;
-          Hashtbl.replace mvars id
-            {
-              contents = None;
-              take_waiters = Fifo.create ();
-              put_waiters = Fifo.create ();
-            };
-          let idv = Stg.alloc_value m (Stg.MInt id) in
-          set_state t
-            (Runnable (ret_value (Stg.MCon (R.t_mvar_ref, [| idv |])), frames))
-      | Ok (Stg.MCon (c, [| r |])) when c = R.t_take_mvar -> (
-          match Stg.force m r with
-          | Ok rv -> (
-              match as_mvar_id rv with
-              | Result.Error msg -> unwind_t t (Exn.Type_error msg) frames
-              | Result.Ok id -> (
-                  let s = Hashtbl.find mvars id in
-                  match s.contents with
-                  | Some v ->
-                      s.contents <- None;
-                      (match Fifo.pop_head s.put_waiters with
-                      | Some w -> wake w
-                      | None -> ());
-                      set_state t (Runnable (ret_addr v, frames))
-                  | None ->
-                      set_state t (Blocked_take (id, frames));
-                      t.blocked_on <-
-                        Some
-                          (s.take_waiters, Fifo.push_tail s.take_waiters t.tid)))
-          | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-          | Error _ -> unwind_t t Exn.Non_termination frames)
-      | Ok (Stg.MCon (c, [| r; v |])) when c = R.t_put_mvar -> (
-          match Stg.force m r with
-          | Ok rv -> (
-              match as_mvar_id rv with
-              | Result.Error msg -> unwind_t t (Exn.Type_error msg) frames
-              | Result.Ok id -> (
-                  let s = Hashtbl.find mvars id in
-                  match s.contents with
-                  | None ->
-                      s.contents <- Some v;
-                      (match Fifo.pop_head s.take_waiters with
-                      | Some w -> wake w
-                      | None -> ());
-                      set_state t (Runnable (ret_value unit_v, frames))
-                  | Some _ ->
-                      set_state t (Blocked_put (id, v, frames));
-                      t.blocked_on <-
-                        Some
-                          (s.put_waiters, Fifo.push_tail s.put_waiters t.tid)))
-          | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-          | Error _ -> unwind_t t Exn.Non_termination frames)
-      | Ok (Stg.MCon (c, [| nt |])) when c = R.t_new_chan -> (
-          match Stg.force m nt with
-          | Ok (Stg.MInt k) ->
-              let id = !next_chan in
-              incr next_chan;
-              Hashtbl.replace chans id
-                {
-                  cap = max 1 k;
-                  buf = Queue.create ();
-                  readers = Fifo.create ();
-                  writers = Fifo.create ();
-                };
-              let idv = Stg.alloc_value m (Stg.MInt id) in
-              set_state t
-                (Runnable
-                   (ret_value (Stg.MCon (R.t_chan_ref, [| idv |])), frames))
-          | Ok _ ->
-              main_result :=
-                Some (Stuck "newChan: capacity is not an integer")
-          | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-          | Error _ -> unwind_t t Exn.Non_termination frames)
-      | Ok (Stg.MCon (c, [| r |])) when c = R.t_read_chan -> (
-          match Stg.force m r with
-          | Ok rv -> (
-              match as_chan_id rv with
-              | Result.Error msg -> unwind_t t (Exn.Type_error msg) frames
-              | Result.Ok id ->
-                  let ch = Hashtbl.find chans id in
-                  if not (Queue.is_empty ch.buf) then begin
-                    let v = Queue.pop ch.buf in
-                    (match Fifo.pop_head ch.writers with
-                    | Some w -> wake_writer w
-                    | None -> ());
-                    set_state t (Runnable (ret_addr v, frames))
-                  end
-                  else begin
-                    set_state t (Blocked_read (id, frames));
-                    t.blocked_on <-
-                      Some (ch.readers, Fifo.push_tail ch.readers t.tid)
-                  end)
-          | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-          | Error _ -> unwind_t t Exn.Non_termination frames)
-      | Ok (Stg.MCon (c, [| r; v |])) when c = R.t_write_chan -> (
-          match Stg.force m r with
-          | Ok rv -> (
-              match as_chan_id rv with
-              | Result.Error msg -> unwind_t t (Exn.Type_error msg) frames
-              | Result.Ok id ->
-                  let ch = Hashtbl.find chans id in
-                  if Queue.length ch.buf < ch.cap then begin
-                    Queue.push v ch.buf;
-                    (match Fifo.pop_head ch.readers with
-                    | Some w -> wake_reader w
-                    | None -> ());
-                    set_state t (Runnable (ret_value unit_v, frames))
-                  end
-                  else begin
-                    set_state t (Blocked_write (id, v, frames));
-                    t.blocked_on <-
-                      Some (ch.writers, Fifo.push_tail ch.writers t.tid)
-                  end)
-          | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-          | Error _ -> unwind_t t Exn.Non_termination frames)
-      | Ok (Stg.MCon (c, [||])) when c = R.t_my_thread_id ->
-          let ida = Stg.alloc_value m (Stg.MInt t.tid) in
-          set_state t
-            (Runnable (ret_value (Stg.MCon (R.t_thread_id, [| ida |])), frames))
-      | Ok (Stg.MCon (c, [| tt; et |])) when c = R.t_throw_to -> (
-          match Stg.force m tt with
-          | Ok (Stg.MCon (ct, [| nt |])) when ct = R.t_thread_id -> (
-              match Stg.force m nt with
-              | Ok (Stg.MInt target) -> (
-                  match Stg.force m et with
-                  | Ok ev -> (
-                      match Stg.mvalue_to_exn m ev with
-                      | Ok x ->
-                          if Obs.on tr then
-                            Obs.record tr (Obs.Ev_throwto (t.tid, target, x));
-                          if target = t.tid then begin
-                            (* throwTo to oneself is synchronous (GHC):
-                               deliver regardless of masking. *)
-                            stats.Stats.throwtos_delivered <-
-                              stats.Stats.throwtos_delivered + 1;
-                            if Obs.on tr then
-                              Obs.record tr
-                                (Obs.Ev_kill_delivered (t.tid, x));
-                            unwind_t t x frames
-                          end
-                          else begin
-                            enqueue_pending target x;
-                            set_state t (Runnable (ret_value unit_v, frames))
-                          end
-                      | Error (Stg.Exn_err x) -> unwind_t t x frames
-                      | Error Stg.Not_exn ->
-                          unwind_t t
-                            (Exn.Type_error "throwTo: not an exception")
-                            frames)
-                  | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-                  | Error _ -> unwind_t t Exn.Non_termination frames)
-              | Ok _ ->
-                  unwind_t t (Exn.Type_error "throwTo: not a ThreadId") frames
-              | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-              | Error _ -> unwind_t t Exn.Non_termination frames)
-          | Ok _ ->
-              unwind_t t (Exn.Type_error "throwTo: not a ThreadId") frames
-          | Error (Stg.Fail_exn exn) -> unwind_t t exn frames
-          | Error _ -> unwind_t t Exn.Non_termination frames)
-      | Ok _ -> main_result := Some (Stuck "not an IO value")
-  in
-
-  let step (t : thread) =
-    match t.state with
-    | Finished | Blocked_take _ | Blocked_put _ | Blocked_read _
-    | Blocked_write _ | Sleeping _ ->
-        ()
-    | Runnable (addr, frames) ->
-        (* Each thread carries its own mask depth; sync it into the
-           machine for the duration of the step so force_catch defers
-           async delivery while this thread is masked. *)
-        Stg.set_mask_depth m t.mask;
-        Stg.refuel m;
-        (match take_pending_exn t with
-        | Some x -> (
-            (* A thread-targeted exception is due (thread is unmasked).
-               If the interrupted action is a [getException] it is caught
-               right here — §5.1 delivery at getException; otherwise
-               unwind the thread's frames (releases and handlers run). *)
-            match Stg.force m addr with
-            | Ok (Stg.MCon (c, [| _ |])) when c = R.t_get_exception ->
-                stats.Stats.throwtos_delivered <-
-                  stats.Stats.throwtos_delivered + 1;
-                if Obs.on tr then begin
-                  Obs.record tr (Obs.Ev_kill_delivered (t.tid, x));
-                  Obs.record tr (Obs.Ev_catch (Some x))
-                end;
-                let ev = Stg.alloc_value m (Stg.exn_to_mvalue m x) in
-                set_state t
-                  (Runnable
-                     (ret_value (Stg.MCon (R.t_bad, [| ev |])), frames))
-            | _ -> deliver_unwind t x frames)
-        | None -> step_runnable t addr frames);
-        t.mask <- Stg.mask_depth m
-  in
-
-  (* Round-start phase 1: wake due sleepers (lazy heap deletion). *)
-  let rec wake_due_sleepers () =
-    match Heap.peek sleep_heap with
-    | Some (until, tid) when until <= !transitions ->
-        ignore (Heap.pop sleep_heap);
-        let t = find_thread tid in
-        (match t.state with
-        | Sleeping (u, action, frames) when u = until ->
-            set_state t (Runnable (action, frames))
-        | _ -> () (* stale entry *));
-        wake_due_sleepers ()
-    | _ -> ()
-  in
-
-  let rec earliest_sleeper () =
-    match Heap.peek sleep_heap with
-    | None -> None
-    | Some (until, tid) -> (
-        match (find_thread tid).state with
-        | Sleeping (u, _, _) when u = until -> Some until
-        | _ ->
-            ignore (Heap.pop sleep_heap);
-            earliest_sleeper ())
-  in
-
-  (* Round-start phase 3: deliver to flagged blocked/sleeping threads
-     (masked MVar waiters and sleepers keep their pending exceptions;
-     channel waiters are interruptible regardless of mask). *)
-  let drain_signaled () =
-    let flagged = Bitq.to_list signaled in
-    List.iter
-      (fun tid ->
-        Bitq.remove signaled tid;
-        let t = find_thread tid in
-        match t.state with
-        | Blocked_take (_, frames)
-        | Blocked_put (_, _, frames)
-        | Sleeping (_, _, frames) -> (
-            match take_pending_exn t with
-            | Some x -> deliver_unwind t x frames
-            | None -> ())
-        | Blocked_read (_, frames) | Blocked_write (_, _, frames) -> (
-            match take_pending_exn_interruptible t with
-            | Some x -> deliver_unwind t x frames
-            | None -> ())
-        | Runnable _ | Finished ->
-            () (* woke up meanwhile: its own step delivers *))
-      flagged
-  in
-
-  (* Debug-flag invariant checks; see {!Semantics.Conc}. *)
-  let sched_violation msg =
-    let extra =
-      [
-        ("round", string_of_int !round);
-        ("transitions", string_of_int !transitions);
-        ("threads", string_of_int !spawned);
-        ("runnable", string_of_int (Bitq.cardinal runq));
-        ("blocked", string_of_int (Bitq.cardinal blockedq));
-        ("sleeping", string_of_int !n_sleeping);
-      ]
-    in
-    raise
-      (Obs.Machine_invariant
-         (Obs.dump ~extra ~note:("scheduler invariant: " ^ msg) tr))
-  in
-  let check_indices () =
-    let sleeping = ref 0 in
-    Hashtbl.iter
-      (fun tid t ->
-        (match t.state with
-        | Runnable _ ->
-            if not (Bitq.mem runq tid) then
-              sched_violation
-                (Printf.sprintf "runnable t%d missing from run queue" tid)
-        | Blocked_take _ | Blocked_put _ | Blocked_read _ | Blocked_write _
-          -> (
-            if not (Bitq.mem blockedq tid) then
-              sched_violation
-                (Printf.sprintf "blocked t%d missing from blocked set" tid);
-            match t.blocked_on with
-            | None ->
-                sched_violation
-                  (Printf.sprintf "blocked t%d has no blocked-on edge" tid)
-            | Some (_, n) ->
-                if not n.Fifo.in_q then
-                  sched_violation
-                    (Printf.sprintf
-                       "blocked t%d's blocked-on edge is detached" tid);
-                if n.Fifo.value <> tid then
-                  sched_violation
-                    (Printf.sprintf
-                       "blocked t%d's blocked-on edge names t%d" tid
-                       n.Fifo.value))
-        | Sleeping _ -> incr sleeping
-        | Finished -> ());
-        (match t.state with
-        | Blocked_take _ | Blocked_put _ | Blocked_read _ | Blocked_write _
-          ->
-            ()
-        | _ ->
-            if t.blocked_on <> None then
-              sched_violation
-                (Printf.sprintf "non-blocked t%d holds a blocked-on edge"
-                   tid));
-        match t.state with
-        | Runnable _ -> ()
-        | _ ->
-            if Bitq.mem runq tid then
-              sched_violation
-                (Printf.sprintf "non-runnable t%d in run queue" tid))
-      threads;
-    if !sleeping <> !n_sleeping then
-      sched_violation
-        (Printf.sprintf "sleeper count %d but %d threads sleeping"
-           !n_sleeping !sleeping);
-    Bitq.iter
-      (fun tid ->
-        match (find_thread tid).state with
-        | Runnable _ -> ()
-        | _ ->
-            sched_violation
-              (Printf.sprintf "run queue names non-runnable t%d" tid))
-      runq;
-    Bitq.iter
-      (fun tid ->
-        match (find_thread tid).state with
-        | Blocked_take _ | Blocked_put _ | Blocked_read _ | Blocked_write _
-          ->
-            ()
-        | _ ->
-            sched_violation
-              (Printf.sprintf "blocked set names non-blocked t%d" tid))
-      blockedq;
-    Hashtbl.iter
-      (fun id c ->
-        if Queue.length c.buf > c.cap then
-          sched_violation
-            (Printf.sprintf "channel %d holds %d > cap %d" id
-               (Queue.length c.buf) c.cap);
-        if Fifo.length c.readers > 0 && not (Queue.is_empty c.buf) then
-          sched_violation
-            (Printf.sprintf "channel %d has readers waiting on data" id);
-        if Fifo.length c.writers > 0 && Queue.length c.buf < c.cap then
-          sched_violation
-            (Printf.sprintf "channel %d has writers waiting on room" id))
-      chans
-  in
-
-  let rec scheduler () =
-    match !main_result with
-    | Some o -> o
-    | None ->
-        if !transitions >= max_transitions then Diverged
-        else begin
-          wake_due_sleepers ();
-          (* Due kill-schedule entries become pending thread-targeted
-             exceptions (the fault-injection axis; sends to finished or
-             unknown threads are dropped, like a dead [throwTo]). *)
-          let due, later =
-            List.partition (fun (k, _, _) -> !transitions >= k) !kills
-          in
-          kills := later;
-          List.iter (fun (_, target, x) -> enqueue_pending target x) due;
-          drain_signaled ();
-          match !main_result with
-          | Some o -> o
-          | None ->
-              if check_invariants then check_indices ();
-              if Bitq.is_empty runq then begin
-                if !n_sleeping > 0 then begin
-                  (* Only sleepers left: fast-forward to the earliest
-                     wake-up. *)
-                  (match earliest_sleeper () with
-                  | Some until -> transitions := until
-                  | None -> sched_violation "sleeper heap lost an entry");
-                  scheduler ()
-                end
-                else begin
-                  (* Irrecoverably blocked. Deliver [BlockedIndefinitely]
-                     to every unmasked blocked thread — and every
-                     channel-blocked thread, masked or not — in tid
-                     order as a catchable imprecise exception and keep
-                     scheduling; only when every blocked thread is a
-                     masked MVar waiter is this a true deadlock. *)
-                  let victims = ref [] in
-                  Bitq.iter
-                    (fun tid ->
-                      let t = find_thread tid in
-                      match t.state with
-                      | (Blocked_take _ | Blocked_put _) when t.mask = 0 ->
-                          victims := t :: !victims
-                      | Blocked_read _ | Blocked_write _ ->
-                          victims := t :: !victims
-                      | _ -> ())
-                    blockedq;
-                  match List.rev !victims with
-                  | [] -> Deadlock
-                  | victims ->
-                      List.iter
-                        (fun t ->
-                          let frames =
-                            match t.state with
-                            | Blocked_take (_, fs) | Blocked_read (_, fs) ->
-                                fs
-                            | Blocked_put (_, _, fs)
-                            | Blocked_write (_, _, fs) ->
-                                fs
-                            | _ -> []
-                          in
-                          stats.Stats.blocked_recoveries <-
-                            stats.Stats.blocked_recoveries + 1;
-                          if Obs.on tr then
-                            Obs.record tr (Obs.Ev_blocked_recover t.tid);
-                          Stg.set_mask_depth m t.mask;
-                          unwind_t t Exn.Blocked_indefinitely frames;
-                          t.mask <- Stg.mask_depth m)
-                        victims;
-                      scheduler ()
-                end
-              end
-              else begin
-                (* The stepping round; see {!Semantics.Conc} for the
-                   round-stamp discipline that reproduces the seed's
-                   snapshot schedule. *)
-                round := !round + 1;
-                let rec go i =
-                  match Bitq.next_geq runq i with
-                  | None -> ()
-                  | Some tid ->
-                      let t = find_thread tid in
-                      if t.stamp <> !round then begin
-                        incr transitions;
-                        step t
-                      end;
-                      go (tid + 1)
-                in
-                go 0;
-                scheduler ()
-              end
-        end
-  in
-  let outcome = scheduler () in
   {
-    output = Buffer.contents buf;
-    outcome;
-    threads_spawned = !spawned;
-    transitions = !transitions;
+    output = output_of_events r.events;
+    outcome = r.outcome;
+    threads_spawned = r.threads_spawned;
+    transitions = r.transitions;
     stats = Stg.stats m;
+    counters;
   }

@@ -1,55 +1,36 @@
-(** Concurrency on the abstract machine: the implementation counterpart of
-    {!Semantics.Conc} (the Section 4.4 closing remark realised twice, so
-    the two layers can be tested against each other).
+(** The IO layer on the abstract machine: the one IO core
+    ({!Semantics.Io_core}) instantiated over {!Stg} heap addresses — the
+    implementation counterpart of {!Semantics.Conc}, so the two layers
+    can be tested against each other. A single-threaded program is the
+    one-thread run.
 
-    A round-robin scheduler over machine threads sharing one heap — so
-    thunks forced by one thread are updated for all (call-by-need sharing
-    across threads), and a thread abandoned mid-evaluation by an uncaught
-    exception leaves poisoned thunks that other threads observe
-    consistently. [forkIO], [MVar]s, per-thread [getException].
+    Where the semantic layer picks a member of the exception {e set}
+    through an oracle, the machine reports the exception its
+    stack-trimming evaluation encounters first — "the set of exceptions
+    associated with an exceptional value is represented by a single
+    member, namely the exception that happens to be encountered first"
+    (Section 3.5). Differential tests check that this member is in the
+    semantic set.
 
-    Thread-to-thread asynchronous exceptions ([myThreadId], [throwTo],
-    [killThread]) follow {!Semantics.Conc} exactly: non-blocking send,
-    queued on the target, delivered at the target's next scheduling point
-    while its mask depth is zero (a self-[throwTo] is synchronous and
-    ignores masking). Delivery at a [getException] is caught there as
-    [Bad e]; anywhere else it unwinds the target's frames, running
-    releases and handlers. Irrecoverably blocked unmasked threads receive
-    the catchable [BlockedIndefinitely] exception instead of a global
-    [Deadlock].
+    All threads share one heap, so a thunk forced by one thread is
+    updated for all, and a thread abandoned mid-evaluation by an
+    uncaught exception leaves poisoned thunks that other threads observe
+    consistently. Scheduling, [forkIO], [MVar]s, bounded channels,
+    [throwTo], masking, brackets, timeouts and retries follow the core
+    exactly (see {!Semantics.Conc}). *)
 
-    Bounded channels ([newChan n], [readChan], [writeChan]) follow
-    {!Semantics.Conc}: channel blocking is an interruptible point that
-    receives asynchronous exceptions and [BlockedIndefinitely] even
-    under a positive mask depth, and a blocked writer's element enters
-    the buffer only when the deposit succeeds.
-
-    The scheduler runs on the same indexed runtime as
-    {!Semantics.Conc} (bitmap run queue, tid hash table, intrusive
-    waiter FIFOs, incremental blocked-on edges) with the seed's exact
-    round-based schedule; [check_invariants] (default: set when
-    [IMPEXN_SCHED_DEBUG] is present) validates the indices every round
-    and raises {!Obs.Machine_invariant} with a flight-recorder dump on
-    violation. *)
-
-type outcome =
-  | Done of Semantics.Sem_value.deep  (** Main thread's result. *)
-  | Uncaught of Lang.Exn.t
-  | Deadlock
-      (** No thread can ever run again and every blocked thread is
-          masked, so not even [BlockedIndefinitely] can be delivered. *)
-  | Diverged
-  | Stuck of string
+include module type of struct
+  include Semantics.Io_core.Types
+end
 
 type result = {
   output : string;  (** All threads' writes, in global order. *)
   outcome : outcome;
   threads_spawned : int;
-  transitions : int;
-  stats : Stats.t;
+  transitions : int;  (** Thread steps taken: the scheduler clock. *)
+  stats : Stats.t;  (** The machine's own cost counters. *)
+  counters : counters;  (** The IO core's fault and exception-safety counters. *)
 }
-
-val pp_outcome : outcome Fmt.t
 
 val run :
   ?config:Stg.config ->
@@ -59,18 +40,24 @@ val run :
   ?kills:(int * int * Lang.Exn.t) list ->
   ?check_invariants:bool ->
   ?max_transitions:int ->
+  ?gc_every:int ->
   Lang.Syntax.expr ->
   result
-(** Perform a closed [IO] expression with the concurrent machine
-    scheduler. The machine's step budget is refuelled at every
-    transition. [async] events go into the machine's schedule and are
-    delivered at the first [getException] of an unmasked thread; each
-    thread carries its own mask depth (brackets, [Mask] sections).
-    [trace] is shared with the underlying machine: the scheduler adds
-    fork, bracket and timeout events to the machine's stream.
+(** Perform a closed [IO] expression on a fresh machine. The machine's
+    step budget is refuelled at every transition; [max_transitions]
+    bounds the thread steps taken (default 100,000). [async] events go
+    into the machine's schedule and are delivered at the first
+    [getException] of an unmasked thread whose evaluation is running at
+    or after the given machine step. [trace] is shared with the
+    underlying machine: the scheduler adds fork, bracket, mask and
+    timeout events to the machine's raise/poison/async stream.
+
+    [gc_every] collects the heap every that many transitions; a caught
+    [HeapOverflow] collects at the next transition boundary too, which
+    re-arms the heap limit. The roots are every thread's action and
+    frames, blocked writers' and putters' values, sleepers, MVar
+    contents and channel buffers.
 
     [kills] is a fault-injection schedule of [(transition, tid, exn)]
-    triples: once the transition counter reaches [transition], [exn] is
-    queued on thread [tid] exactly as if a live thread had performed
-    [ThrowTo (ThreadId tid) exn]. Entries naming finished or unknown
-    threads are dropped silently. *)
+    triples, as in {!Semantics.Conc.run}; [check_invariants] likewise
+    validates the scheduler indices every round. *)

@@ -3,10 +3,9 @@
     allocations, thunk updates, stack depth, frames trimmed by [raise],
     catch frames pushed.
 
-    The fault counters ([async_delivered], [brackets_entered], ...) feed
-    the fault-injection harness ({!Analysis.Faultinject}): a run is
-    exception-safe only if [brackets_entered = brackets_released] once
-    the program has terminated. *)
+    The IO layer's fault counters (brackets, timeouts, [throwTo]
+    deliveries, blocked recoveries) live in the IO core's own
+    [counters], not here. *)
 
 type t = {
   mutable steps : int;
@@ -24,11 +23,6 @@ type t = {
       (** Cells copied by collections (total survivors). *)
   mutable async_delivered : int;
       (** Asynchronous exceptions actually delivered (not deferred). *)
-  mutable brackets_entered : int;
-      (** [Bracket] acquires that completed (a release became due). *)
-  mutable brackets_released : int;
-      (** [Bracket] releases that ran (must equal entered on exit). *)
-  mutable timeouts_fired : int;  (** [WithTimeout] deadlines that expired. *)
   mutable masked_sections : int;
       (** Times async delivery was masked (bracket acquire/release,
           explicit [Mask]). *)
@@ -44,14 +38,6 @@ type t = {
   mutable slot_reads : int;
       (** Array-environment slot reads by the slot-compiled machine —
           the pre-resolved counterpart of [env_lookups]. *)
-  mutable throwtos_delivered : int;
-      (** Thread-targeted exceptions ([throwTo]/[killThread], or a
-          seeded kill schedule) that reached their target thread. Bench
-          Table K asserts this stays 0 — at zero cost — when no thread
-          ever throws. *)
-  mutable blocked_recoveries : int;
-      (** Irrecoverably blocked threads woken exceptionally with
-          [BlockedIndefinitely] instead of deadlocking the program. *)
   mutable bc_dispatches : int;
       (** Instruction dispatches by the flat bytecode backend
           ({!Bytecode}); every other machine reports exactly 0. *)

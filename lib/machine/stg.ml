@@ -158,18 +158,6 @@ let invariant_failure (m : t) (msg : string) : 'a =
 
 let refuel m = m.fuel_left <- m.cfg.fuel
 
-let mask_depth m = m.mask_depth
-
-let push_mask m =
-  m.mask_depth <- m.mask_depth + 1;
-  m.stats.masked_sections <- m.stats.masked_sections + 1;
-  if Obs.on m.trace then Obs.record m.trace Obs.Ev_mask_push
-
-let pop_mask m =
-  if m.mask_depth > 0 then begin
-    m.mask_depth <- m.mask_depth - 1;
-    if Obs.on m.trace then Obs.record m.trace Obs.Ev_mask_pop
-  end
 let set_mask_depth m d = m.mask_depth <- max 0 d
 
 exception Machine_stuck of failure

@@ -108,21 +108,12 @@ val refuel : t -> unit
     {!Semantics.Denot.refill}, used by long-running drivers so one
     divergent transition does not starve the rest of the program. *)
 
-val mask_depth : t -> int
-(** Current asynchronous-exception mask depth. While positive, pending
+val set_mask_depth : t -> int -> unit
+(** Set the asynchronous-exception mask depth. While positive, pending
     async events are deferred even under a catch mark — this is how
     [bracket]'s acquire and release phases (and explicit [Mask] sections)
-    are protected from being torn mid-flight. *)
-
-val push_mask : t -> unit
-(** Enter a masked section (counts into [Stats.masked_sections]). *)
-
-val pop_mask : t -> unit
-(** Leave a masked section; never goes below zero. *)
-
-val set_mask_depth : t -> int -> unit
-(** Restore a saved mask depth — used by the concurrent driver when
-    switching threads, each of which carries its own depth. *)
+    are protected from being torn mid-flight. The IO layer keeps a depth
+    per thread and sets it before each [getException]. *)
 
 val alloc : t -> Lang.Syntax.expr -> addr
 (** Resolve a closed expression (one {!Lang.Resolve.expr} pass) and

@@ -2,7 +2,7 @@
     exception machinery.
 
     Three pieces, shared by {!Machine.Stg}, {!Machine.Stg_ref},
-    {!Semantics.Iosem}, {!Semantics.Conc}, {!Machine.Machine_io} and
+    {!Machine.Bytecode} and the two IO layers, {!Semantics.Conc} and
     {!Machine.Machine_conc}:
 
     - a fixed-size ring buffer of structured {!event}s, gated by one

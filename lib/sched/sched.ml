@@ -1,5 +1,5 @@
 (** Indexed scheduler runtime: the data structures behind the O(1)
-    concurrent schedulers ({!Semantics.Conc} and {!Machine.Machine_conc}).
+    scheduler of the one IO core ({!Semantics.Io_core}).
 
     The seed schedulers kept every piece of scheduler state in OCaml
     lists: the thread table was a [thread list] scanned with [List.find],
@@ -8,8 +8,8 @@
     [List.rev]/[List.filter], and blocked-indefinitely detection rescanned
     every MVar in the store. All of it is linear per transition, which
     caps the runtime at example scale. This module provides the indexed
-    replacements; the schedulers themselves are responsible for using
-    them in a way that preserves the seed's exact schedule.
+    replacements; the scheduler itself is responsible for using them in
+    a way that preserves the seed's exact schedule.
 
     - {!Vec}: a growable array used as the tid-indexed thread table
       (tids are dense, allocated from 0), replacing [List.find].
@@ -130,7 +130,7 @@ end
 module Bitq = struct
   (* 32 bits per word keeps the bit arithmetic shift-based and portable
      across OCaml's 63-bit native ints. Level 1 summarises which level-0
-     words are non-empty, so [next_geq] skips empty 1024-tid spans in one
+     words are non-empty, so [next] skips empty 1024-tid spans in one
      word test. *)
   let word_bits = 32
   let lvl0_shift = 5 (* tid lsr 5 = level-0 word *)
@@ -206,52 +206,42 @@ module Bitq = struct
     let rec go w i = if w land 1 <> 0 then i else go (w lsr 1) (i + 1) in
     go (w land -w) 0
 
-  (* Smallest member >= [i], or None. Used as the run-queue cursor: the
-     round steps threads in ascending tid order while wakes and forks
-     mutate the set behind the cursor. *)
-  let next_geq q i =
-    let i = max i 0 in
-    let nwords0 = Array.length q.l0 in
-    let w0 = i lsr lvl0_shift in
-    if w0 >= nwords0 then None
+  (* The first non-empty level-0 word at or after word [start], found
+     through the level-1 summary words from [j] on; -1 if none. *)
+  let rec scan_l1 q start j =
+    if j >= Array.length q.l1 then -1
     else
-      (* Bits >= i in its own level-0 word first. *)
-      let masked = q.l0.(w0) land lnot ((1 lsl (i land (word_bits - 1))) - 1) in
-      if masked <> 0 then
-        Some ((w0 lsl lvl0_shift) lor lowest_bit_index masked)
-      else begin
-        (* Then the level-1 summary, starting at w0 + 1. *)
-        let nwords1 = Array.length q.l1 in
-        let start = w0 + 1 in
-        let w1 = start lsr lvl0_shift in
-        let result = ref None in
-        (try
-           for j = w1 to nwords1 - 1 do
-             let m =
-               if j = w1 then
-                 q.l1.(j) land lnot ((1 lsl (start land (word_bits - 1))) - 1)
-               else q.l1.(j)
-             in
-             if m <> 0 then begin
-               let w0' = (j lsl lvl0_shift) lor lowest_bit_index m in
-               result :=
-                 Some ((w0' lsl lvl0_shift) lor lowest_bit_index q.l0.(w0'));
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !result
-      end
+      let m =
+        if j = start lsr lvl0_shift then
+          q.l1.(j) land lnot ((1 lsl (start land (word_bits - 1))) - 1)
+        else q.l1.(j)
+      in
+      if m = 0 then scan_l1 q start (j + 1)
+      else
+        let w0 = (j lsl lvl0_shift) lor lowest_bit_index m in
+        (w0 lsl lvl0_shift) lor lowest_bit_index q.l0.(w0)
 
-  let min_elt q = next_geq q 0
+  (* Smallest member >= [i], or -1: the run-queue cursor. The round
+     steps threads in ascending tid order while wakes and forks mutate the
+     set behind the cursor; answering with a bare int keeps each step
+     allocation-free. *)
+  let next q i =
+    let i = max i 0 in
+    let w0 = i lsr lvl0_shift in
+    if w0 >= Array.length q.l0 then -1
+    else
+      (* Bits >= i in its own level-0 word first, then the summary. *)
+      let masked = q.l0.(w0) land lnot ((1 lsl (i land (word_bits - 1))) - 1) in
+      if masked <> 0 then (w0 lsl lvl0_shift) lor lowest_bit_index masked
+      else scan_l1 q (w0 + 1) ((w0 + 1) lsr lvl0_shift)
 
   let iter f q =
     let rec go i =
-      match next_geq q i with
-      | None -> ()
-      | Some j ->
-          f j;
-          go (j + 1)
+      let j = next q i in
+      if j >= 0 then begin
+        f j;
+        go (j + 1)
+      end
     in
     go 0
 

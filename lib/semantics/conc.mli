@@ -1,142 +1,82 @@
-(** Concurrency on top of the IO transition system.
+(** The IO layer of Section 4.4 on the denotational semantics: the one IO
+    core ({!Io_core}) instantiated over {!Denot} thunks, with an oracle
+    resolving every non-deterministic choice.
 
-    Section 4.4 notes that presenting the IO layer as a labelled transition
-    system over the denotation "scales to other extensions, such as adding
-    concurrency to the language [16]" (Peyton Jones–Gordon–Finne,
-    Concurrent Haskell). This module substantiates the remark: a
-    round-robin scheduler over multiple IO threads with [forkIO] and
-    [MVar]s, running on exactly the same denotational values as
-    {!Iosem}.
-
-    New IO constructors (registered in the parser's constructor table,
-    with Prelude aliases [forkIO], [newEmptyMVar], [takeMVar], [putMVar]):
+    [IO] is an algebraic data type whose values this module performs:
 
     {v
-    Fork (IO a)            : IO Unit     -- spawn, return to parent
-    NewMVar                : IO (MVar a) -- fresh empty MVar
-    TakeMVar (MVar a)      : IO a        -- blocks while empty
-    PutMVar (MVar a) a     : IO Unit     -- blocks while full
+    m1 → m2  ⟹  (m1 >>= k) → (m2 >>= k)
+    (return v) >>= k → k v
+    getChar  —?c→  return c
+    putChar c —!c→ return ()
+    getException (Ok v)  → return (OK v)
+    getException (Bad s) → return (Bad x)      if x ∈ s
+    getException (Bad s) → getException (Bad s) if NonTermination ∈ s
+    getException v —¡x→  return (Bad x)        x an asynchronous event
     v}
 
-    Bounded channels (Prelude aliases [newChan n], [readChan],
-    [writeChan]):
+    A single-threaded program is the one-thread run. Section 4.4 notes
+    that the transition system "scales to other extensions, such as
+    adding concurrency to the language [16]"; the same rules drive a
+    round-robin scheduler over threads with [forkIO], [MVar]s, bounded
+    channels ([newChan n], [readChan], [writeChan]) and thread-targeted
+    asynchronous exceptions ([myThreadId], [throwTo], [killThread]).
 
-    {v
-    NewChan Int            : IO (Chan a) -- buffer capacity (min 1)
-    ReadChan (Chan a)      : IO a        -- blocks while empty
-    WriteChan (Chan a) a   : IO Unit     -- blocks while full
-    v}
+    On top sit the exception-safety combinators in the style of GHC's
+    [Control.Exception] ([bracket], [onException], [mask], [unmask],
+    [timeout], [retryWithBackoff]): normal returns pop frames, exceptions
+    trim them, running releases and handlers on the way down. A
+    bracket's acquire and every cleanup run masked. An uncaught
+    exception kills only the thread that performed it; the main
+    thread's death ends the program. Likewise only the main thread's
+    self-transition makes the run [Diverged]: another thread that takes
+    it spins while the rest run on. {!Machine.Machine_conc} is the same
+    core over the abstract machine, so the two layers can be tested
+    against each other. *)
 
-    Channel blocking is an {e interruptible point} in the sense of
-    Marlow et al. (PLDI'01): a thread blocked on a channel receives
-    pending asynchronous exceptions and [BlockedIndefinitely] even while
-    its mask depth is positive, unlike MVar blocking, which keeps this
-    runtime's stricter masked-block discipline (a masked blocked MVar
-    thread is deaf until woken). A blocked writer's element enters the
-    buffer only when the deposit succeeds, so killing a blocked writer
-    never loses a buffered element.
-
-    The scheduler itself runs on an indexed runtime — a bitmap run
-    queue iterated in tid order, a tid-to-thread hash table, intrusive
-    per-cell FIFO waiter queues and an incrementally maintained
-    blocked-on edge per thread — with the exact same round-based
-    schedule as the original list-scanning implementation (see DESIGN
-    §4i).
-
-    Exceptions interact with concurrency exactly as in the paper: an
-    uncaught exceptional value kills only the thread that performed it
-    (the main thread's death ends the program), and [getException] behaves
-    as in Section 4.4 within each thread.
-
-    Thread-to-thread asynchronous exceptions (Prelude aliases
-    [myThreadId], [throwTo t e], [killThread t]):
-
-    {v
-    MyThreadId             : IO ThreadId -- this thread's identity
-    ThrowTo ThreadId Exn   : IO Unit     -- async send; no-op if dead
-    v}
-
-    [throwTo] is a non-blocking send: the exception is queued on the
-    target and delivered at the target's next scheduling point while its
-    mask depth is zero ([mask]/[bracket] acquire-and-release sections
-    defer delivery — Section 5.1's interruptible-operation discipline,
-    made strict). A [throwTo] to oneself is synchronous, delivered
-    regardless of masking, as in GHC. Delivery at a [getException] is
-    caught right there as [Bad e]; anywhere else it unwinds the thread's
-    frames, running releases and handlers.
-
-    When no thread can ever run again, blocked threads with mask depth
-    zero receive the catchable [BlockedIndefinitely] exception instead of
-    the program reporting a global [Deadlock] (GHC's
-    [BlockedIndefinitelyOnMVar]); [Deadlock] remains only for the case
-    where every blocked thread is masked. *)
-
-type event =
-  | E_write of int * char  (** thread, character written *)
-  | E_read of int * char
-  | E_fork of int * int  (** parent, child *)
-  | E_block of int  (** thread blocked on an MVar *)
-  | E_wake of int
-  | E_thread_done of int
-  | E_thread_died of int * Lang.Exn.t
-      (** A non-main thread performed an exceptional IO value. *)
-  | E_async of int * Lang.Exn.t
-      (** An asynchronous event was delivered to this thread. *)
-  | E_sleep of int * int
-      (** Thread sleeping until the given clock tick ([Retry] backoff). *)
-  | E_throwto of int * int * Lang.Exn.t
-      (** [throwTo]: sender, target, exception (send, not delivery). *)
-
-type outcome =
-  | Done of Sem_value.deep  (** The main thread's result. *)
-  | Uncaught of Lang.Exn.t  (** The main thread died. *)
-  | Deadlock
-      (** No thread can ever run again and every blocked thread is
-          masked, so not even [BlockedIndefinitely] can be delivered. *)
-  | Diverged
-  | Stuck of string
+include module type of struct
+  include Io_core.Types
+end
 
 type result = {
   trace : event list;
   outcome : outcome;
   threads_spawned : int;
-  context_switches : int;
-  counters : Iosem.counters;
-      (** Fault/exception-safety counters, shared across all threads. *)
+  context_switches : int;  (** Thread steps taken: the scheduler clock. *)
+  counters : counters;
 }
 
-val pp_event : event Fmt.t
-val pp_outcome : outcome Fmt.t
+type schedule = (int * Lang.Exn.t) list
+(** Asynchronous events: [(k, x)] delivers [x] at the first unmasked
+    [getException] performed at or after clock tick [k]. *)
 
 val run :
   ?config:Denot.config ->
   ?oracle:Oracle.t ->
   ?trace:Obs.t ->
   ?input:string ->
-  ?async:Iosem.schedule ->
+  ?async:schedule ->
   ?kills:(int * int * Lang.Exn.t) list ->
   ?check_invariants:bool ->
   ?max_steps:int ->
   Lang.Syntax.expr ->
   result
-(** Perform a closed [IO] expression with the concurrent scheduler
-    (round-robin, one transition per thread per turn). [trace] receives
-    structured oracle-pick, catch, async, mask, bracket, fork and
-    timeout events.
+(** Perform a closed [IO] expression. [trace] receives a structured event
+    per oracle pick (chosen member plus the un-chosen rest of the set),
+    catch, async delivery, mask transition, bracket acquire/release,
+    fork and timeout. [max_steps] bounds the thread steps taken
+    (default 200,000); beyond it the run is [Diverged].
 
     [kills] is a fault-injection schedule of [(clock, tid, exn)]
-    triples: once the global clock reaches [clock], [exn] is queued on
-    thread [tid] exactly as if a live thread had performed
+    triples: once the clock reaches [clock], [exn] is queued on thread
+    [tid] exactly as if a live thread had performed
     [ThrowTo (ThreadId tid) exn]. Entries naming finished or unknown
     threads are dropped silently.
 
     [check_invariants] (default: set when the [IMPEXN_SCHED_DEBUG]
     environment variable is present) validates the scheduler indices
-    every round — every runnable thread in the run queue exactly once,
-    every blocked thread with exactly one attached blocked-on edge,
-    channel buffers within bounds — and raises
-    {!Obs.Machine_invariant} carrying a flight-recorder dump on
-    violation. *)
+    every round and raises {!Obs.Machine_invariant} carrying a
+    flight-recorder dump on violation. *)
 
 val output_string_of : result -> string
 (** Characters written by all threads, in global order. *)

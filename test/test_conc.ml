@@ -3,7 +3,8 @@ open Helpers
 module E = Exn
 
 (* The concurrency extension of Section 4.4's closing remark: forkIO and
-   MVars over the same denotational values as Iosem. *)
+   MVars over the denotational values, in the same transition system a
+   single-threaded program runs in as the one-thread case. *)
 
 let run ?config ?input src = Conc.run ?config ?input (parse src)
 
@@ -14,7 +15,7 @@ let check_done msg expected (r : Conc.result) =
 
 let suite =
   [
-    tc "single-threaded programs behave as in Iosem" (fun () ->
+    tc "single-threaded programs behave as one-thread runs" (fun () ->
         check_done "ret" (dint 8) (run "return 3 >>= \\x -> return (x + 5)");
         let r = run ~input:"z" "getChar >>= \\c -> putChar c" in
         Alcotest.(check string) "echo" "z" (Conc.output_string_of r));
@@ -84,7 +85,7 @@ let suite =
         check_done "fallback ran" (dint 7) r;
         Alcotest.(check string) "marker" "f" (Conc.output_string_of r);
         Alcotest.(check int)
-          "recovery counted" 1 r.Conc.counters.Io.blocked_recoveries;
+          "recovery counted" 1 r.Conc.counters.Conc.blocked_recoveries;
         let m = Machine_conc.run (parse src) in
         (match m.Machine_conc.outcome with
         | Machine_conc.Done d -> Alcotest.check deep "machine" (dint 7) d
@@ -261,9 +262,9 @@ let suite =
         Alcotest.(check bool)
           "release before join" true
           (String.index out 'R' < String.index out 'J');
-        Alcotest.(check int) "entered" 1 r.Conc.counters.Io.brackets_entered;
+        Alcotest.(check int) "entered" 1 r.Conc.counters.Conc.brackets_entered;
         Alcotest.(check int) "released" 1
-          r.Conc.counters.Io.brackets_released);
+          r.Conc.counters.Conc.brackets_released);
     tc "retry backoff sleeps without deadlocking the scheduler" (fun () ->
         (* The only thread sleeps between attempts: the scheduler must
            fast-forward the clock, not report deadlock. *)
@@ -394,11 +395,11 @@ let suite =
               true (String.contains out c))
           [ 'w'; 'x'; 'y'; 'z' ];
         Alcotest.(check int)
-          "deferred forever" 0 rm.Conc.counters.Io.throwtos_delivered;
+          "deferred forever" 0 rm.Conc.counters.Conc.throwtos_delivered;
         let ru = Conc.run ~kills (parse unmasked) in
         check_done "unmasked child's parent" (dint 3) ru;
         Alcotest.(check int)
-          "kill delivered" 1 ru.Conc.counters.Io.throwtos_delivered;
+          "kill delivered" 1 ru.Conc.counters.Conc.throwtos_delivered;
         Alcotest.(check bool)
           "child torn" false
           (String.contains (Conc.output_string_of ru) 'z');
@@ -421,7 +422,7 @@ let suite =
         | o -> Alcotest.failf "unexpected %a" Machine_conc.pp_outcome o);
         Alcotest.(check int)
           "machine kill delivered" 1
-          mu.Machine_conc.stats.Stats.throwtos_delivered;
+          mu.Machine_conc.counters.Machine_conc.throwtos_delivered;
         Alcotest.(check bool)
           "machine child torn" false
           (String.contains mu.Machine_conc.output 'z'));
@@ -448,19 +449,19 @@ let suite =
           "fallback marker" true
           (String.contains (Conc.output_string_of r) 'F');
         Alcotest.(check int)
-          "kill delivered" 1 r.Conc.counters.Io.throwtos_delivered;
+          "kill delivered" 1 r.Conc.counters.Conc.throwtos_delivered;
         Alcotest.(check int)
-          "blocked join recovered" 1 r.Conc.counters.Io.blocked_recoveries;
+          "blocked join recovered" 1 r.Conc.counters.Conc.blocked_recoveries;
         let m = Machine_conc.run ~kills (parse src) in
         (match m.Machine_conc.outcome with
         | Machine_conc.Done d -> Alcotest.check deep "machine" (dint 42) d
         | o -> Alcotest.failf "unexpected %a" Machine_conc.pp_outcome o);
         Alcotest.(check int)
           "machine kill delivered" 1
-          m.Machine_conc.stats.Stats.throwtos_delivered;
+          m.Machine_conc.counters.Machine_conc.throwtos_delivered;
         Alcotest.(check int)
           "machine blocked join recovered" 1
-          m.Machine_conc.stats.Stats.blocked_recoveries);
+          m.Machine_conc.counters.Machine_conc.blocked_recoveries);
     tc "failing outcomes keep the output accumulated so far" (fun () ->
         (* Uncaught and Deadlock results still carry the partial output
            and stats — a crashed program's trail is not discarded. *)
@@ -498,4 +499,68 @@ let suite =
         | o -> Alcotest.failf "unexpected %a" Machine_conc.pp_outcome o);
         Alcotest.(check string) "machine deadlock keeps output" "a"
           md.Machine_conc.output);
-  ]
+      tc "getException of a NonTermination set may loop (bugs #10)" (fun () ->
+        (* Section 4.4: getException (Bad s) -> getException (Bad s) when
+           NonTermination is in s. A seeded oracle takes that rule on some
+           seeds and picks a member on others. *)
+        let e = parse "getException (let rec x = x + 1 in x) >>= \\v -> return 1" in
+        let diverged =
+          List.length
+            (List.filter
+               (fun seed ->
+                 (Conc.run ~config:(Denot.with_fuel 2000) ~oracle:(Oracle.create ~seed) e)
+                   .Conc.outcome
+                 = Conc.Diverged)
+               (List.init 100 Fun.id))
+        in
+        Alcotest.(check bool) "some seeds loop" true (diverged > 0);
+        Alcotest.(check bool) "some seeds pick" true (diverged < 100));
+      tc "a forked child's self-transition does not end the run" (fun () ->
+        (* Only main's self-transition ends the program: a child that takes
+           it spins while main runs on to Done. *)
+        let e =
+          parse
+            "forkIO (getException (let rec x = x + 1 in x) >>= \\v -> putChar \
+             'c') >>= \\u -> putChar 'a' >>= \\u1 -> putChar 'b' >>= \\u2 -> \
+             putChar 'd' >>= \\u3 -> putChar 'e' >>= \\u4 -> return 1"
+        in
+        let parked = ref 0 in
+        List.iter
+          (fun seed ->
+            let r =
+              Conc.run ~config:(Denot.with_fuel 2000) ~oracle:(Oracle.create ~seed)
+                ~check_invariants:true e
+            in
+            check_done (Printf.sprintf "seed %d" seed) (dint 1) r;
+            if not (String.contains (Conc.output_string_of r) 'c') then incr parked)
+          (List.init 100 Fun.id);
+        Alcotest.(check bool) "some children spin" true (!parked > 0);
+        Alcotest.(check bool) "some children pick" true (!parked < 100));
+      tc "a spinning child keeps main's blocked join from recovering" (fun () ->
+        (* With only a spinning thread left to run, main's takeMVar is not
+           blocked indefinitely: the run diverges. A kill ends the spin. *)
+        let src =
+          "newEmptyMVar >>= \\m -> forkIO (getException (let rec x = x + 1 in \
+           x) >>= \\v -> putMVar m 7) >>= \\u -> takeMVar m"
+        in
+        let outcomes kills =
+          List.map
+            (fun seed ->
+              (Conc.run ~config:(Denot.with_fuel 2000) ~oracle:(Oracle.create ~seed)
+                 ~kills ~check_invariants:true (parse src))
+                .Conc.outcome)
+            (List.init 100 Fun.id)
+        in
+        let count p os = List.length (List.filter p os) in
+        let done7 = function Conc.Done (Value.DInt 7) -> true | _ -> false in
+        let plain = outcomes [] in
+        Alcotest.(check int) "Done 7 or Diverged" 100
+          (count (fun o -> done7 o || o = Conc.Diverged) plain);
+        Alcotest.(check bool) "some diverge" true (count (( = ) Conc.Diverged) plain > 0);
+        Alcotest.(check bool) "some finish" true (count done7 plain > 0);
+        let killed = outcomes [ (8, 1, E.Thread_killed) ] in
+        Alcotest.(check int) "killed spinners leave main to recover" 0
+          (count (( = ) Conc.Diverged) killed);
+        Alcotest.(check bool) "BlockedIndefinitely reaches main" true
+          (List.mem (Conc.Uncaught E.Blocked_indefinitely) killed));
+]

@@ -48,18 +48,18 @@ let fifo_tests =
           (Sched.Bitq.to_list b);
         Sched.Bitq.remove b 32;
         Sched.Bitq.remove b 32;
-        Alcotest.(check (option int)) "next_geq skips removed" (Some 64)
-          (Sched.Bitq.next_geq b 32);
+        Alcotest.(check int) "next skips removed" 64 (Sched.Bitq.next b 32);
+        Alcotest.(check int) "next past the last" (-1) (Sched.Bitq.next b 901);
         (* The cursor idiom the scheduler uses: iterate while removing
            behind the cursor. *)
         let seen = ref [] in
         let rec go i =
-          match Sched.Bitq.next_geq b i with
-          | None -> ()
-          | Some x ->
-              seen := x :: !seen;
-              Sched.Bitq.remove b x;
-              go (x + 1)
+          let x = Sched.Bitq.next b i in
+          if x >= 0 then begin
+            seen := x :: !seen;
+            Sched.Bitq.remove b x;
+            go (x + 1)
+          end
         in
         go 0;
         Alcotest.(check (list int)) "cursor sweep" [ 3; 31; 64; 900 ]
@@ -294,38 +294,31 @@ let differential_random () =
     differential ~cap ~writers ~readers
   done
 
-(* Four-layer agreement on sequential channel programs: the
-   single-threaded drivers treat a blocking channel operation as an
-   immediately catchable BlockedIndefinitely, matching what the
-   schedulers deliver at quiescence. *)
+(* Sequential channel programs on both layers, with and without
+   collections: a blocking channel operation in a one-thread run is
+   hopeless, so quiescence delivers a catchable BlockedIndefinitely. *)
 let sequential_parity () =
   let check name src expect_out expect_recov =
     let w = Prelude.wrap (parse src) in
-    let io = Io.run w in
-    (match io.Io.outcome with
-    | Io.Done _ -> ()
-    | o -> Alcotest.failf "%s: iosem %a" name Io.pp_outcome o);
-    Alcotest.(check string) (name ^ ": iosem out") expect_out
-      (Io.output_string_of io);
-    Alcotest.(check int)
-      (name ^ ": iosem recoveries")
-      expect_recov io.Io.counters.Io.blocked_recoveries;
-    let mio = Machine_io.run w in
-    Alcotest.(check string) (name ^ ": machine io out") expect_out
-      mio.Machine_io.output;
-    Alcotest.(check int)
-      (name ^ ": machine io recoveries")
-      expect_recov mio.Machine_io.stats.Stats.blocked_recoveries;
-    let mio_gc = Machine_io.run ~gc_every:3 w in
-    Alcotest.(check string)
-      (name ^ ": machine io out under gc")
-      expect_out mio_gc.Machine_io.output;
     let c = Conc.run ~check_invariants:true w in
+    (match c.Conc.outcome with
+    | Conc.Done _ -> ()
+    | o -> Alcotest.failf "%s: conc %a" name Conc.pp_outcome o);
     Alcotest.(check string) (name ^ ": conc out") expect_out
       (Conc.output_string_of c);
+    Alcotest.(check int)
+      (name ^ ": conc recoveries")
+      expect_recov c.Conc.counters.Conc.blocked_recoveries;
     let mc = Machine_conc.run ~check_invariants:true w in
     Alcotest.(check string) (name ^ ": machine conc out") expect_out
-      mc.Machine_conc.output
+      mc.Machine_conc.output;
+    Alcotest.(check int)
+      (name ^ ": machine conc recoveries")
+      expect_recov mc.Machine_conc.counters.Machine_conc.blocked_recoveries;
+    let mc_gc = Machine_conc.run ~gc_every:3 w in
+    Alcotest.(check string)
+      (name ^ ": machine conc out under gc")
+      expect_out mc_gc.Machine_conc.output
   in
   check "roundtrip"
     "newChan 2 >>= \\ch -> writeChan ch 7 >> writeChan ch 8 >>\n\
@@ -358,6 +351,6 @@ let suite =
           differential ~cap:8 ~writers:500 ~readers:500;
           differential ~cap:64 ~writers:300 ~readers:300);
       tc "differential: randomized networks (seeded)" differential_random;
-      tc "sequential channel programs agree across all four layers"
+      tc "sequential channel programs agree across both layers"
         sequential_parity;
     ]

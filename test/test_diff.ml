@@ -14,6 +14,42 @@ let machine_deep e =
 
 let denot_deep e = Denot.run_deep ~config:denot_config ~depth:24 e
 
+(* The semantic and machine IO drivers on one program: [None] when the
+   machine's run is one the semantics allows. On uncaught/divergent runs
+   the two may cut the write trace at slightly different points, so one
+   output must be a prefix of the other. A semantic run whose oracle
+   picked from bottom owes nothing on its final value: Section 5.3 lets
+   that pick be any exception, and the machine raised a particular
+   one. *)
+let io_disagreement prog =
+  let w = Prelude.wrap prog in
+  (* Generous budgets so fuel exhaustion cannot masquerade as a semantic
+     disagreement. *)
+  let sem = Conc.run ~config:(Denot.with_fuel 100_000) w in
+  let mach = Machine_conc.run ~config:machine_config w in
+  let a = Conc.output_string_of sem and b = mach.Machine_conc.output in
+  let output_ok =
+    let shorter, longer = if String.length a <= String.length b then (a, b) else (b, a) in
+    String.equal shorter (String.sub longer 0 (String.length shorter))
+  in
+  let outcome_ok =
+    sem.Conc.counters.Conc.bottom_picks > 0
+    ||
+    match (sem.Conc.outcome, mach.Machine_conc.outcome) with
+    | Conc.Done d1, Conc.Done d2 ->
+        (* The returned value may itself be exceptional: the machine
+           reports a representative of the semantic set. *)
+        implements d2 d1
+    | Conc.Uncaught _, Conc.Uncaught _ | Conc.Stuck _, Conc.Stuck _ -> true
+    | Conc.Diverged, _ | _, Conc.Diverged -> true (* fuel budgets differ *)
+    | _ -> false
+  in
+  if output_ok && outcome_ok then None
+  else
+    Some
+      (Fmt.str "sem: %a out=%S@.mach: %a out=%S" Conc.pp_outcome sem.Conc.outcome a
+         Conc.pp_outcome mach.Machine_conc.outcome b)
+
 let suite =
   [
     qtest ~count:150 "machine refines denotation on int terms"
@@ -86,47 +122,24 @@ let suite =
     qtest ~count:80 "semantic and machine IO drivers agree on programs"
       (Gen.gen_io ())
       (fun prog ->
-        let w = Prelude.wrap prog in
-        (* Generous budgets so fuel exhaustion cannot masquerade as a
-           semantic disagreement. *)
-        let sem = Io.run ~config:(Denot.with_fuel 100_000) w in
-        let mach = Machine_io.run ~config:machine_config w in
-        let output_ok =
-          (* On uncaught/divergent runs the two drivers may cut the write
-             trace at slightly different points; one trace must still be a
-             prefix of the other. *)
-          let a = Io.output_string_of sem and b = mach.Machine_io.output in
-          let shorter, longer =
-            if String.length a <= String.length b then (a, b) else (b, a)
-          in
-          String.equal shorter (String.sub longer 0 (String.length shorter))
+        match io_disagreement prog with
+        | None -> true
+        | Some msg -> QCheck2.Test.fail_reportf "%s" msg);
+    tc "a pick from bottom leaves the final value unconstrained" (fun () ->
+        (* S[[putInt (raise GenExnA)]] is {ALL}: exception-finding mode
+           never converges through showInt's recursion. The first oracle
+           picks DivideByZero, so the arithmetic handler answers 1; the
+           machine raises GenExnA and the catch-all answers 2. Both are
+           allowed (Section 5.3). *)
+        let prog =
+          parse_raw
+            "return 0 >>= \\a -> catches (return 0 >>= \\b -> putInt (let c = \
+             0 in raise GenExnA) >>= \\u -> return 0) [handler matchArith \
+             (\\e -> return 1), handler matchAny (\\e -> return 2)]"
         in
-        let outcome_ok =
-          match (sem.Io.outcome, mach.Machine_io.outcome) with
-          | Io.Done d1, Machine_io.Done d2 ->
-              (* The returned value may itself be exceptional: the machine
-                 reports a representative of the semantic set. *)
-              implements d2 d1
-          | Io.Uncaught _, Machine_io.Uncaught _ -> true
-          | Io.Io_diverged, _ | _, Machine_io.Io_diverged ->
-              true (* fuel budgets differ between the engines *)
-          | Io.Done _, Machine_io.Uncaught _
-          | Io.Uncaught _, Machine_io.Done _ ->
-              (* A set containing NonTermination lets the semantic layer
-                 report an uncaught (possibly fictitious, 5.3) exception
-                 where the machine simply keeps computing, or vice versa;
-                 only flag genuinely different values. *)
-              false
-          | Io.Stuck _, Machine_io.Stuck _ -> true
-          | _ -> false
-        in
-        if not (output_ok && outcome_ok) then
-          QCheck2.Test.fail_reportf "sem: %s out=%S@.mach: %s out=%S"
-            (Fmt.str "%a" Io.pp_outcome sem.Io.outcome)
-            (Io.output_string_of sem)
-            (Fmt.str "%a" Machine_io.pp_outcome mach.Machine_io.outcome)
-            mach.Machine_io.output
-        else true);
+        let sem = Conc.run ~config:(Denot.with_fuel 100_000) (Prelude.wrap prog) in
+        Alcotest.(check bool) "picked from bottom" true (sem.Conc.counters.Conc.bottom_picks > 0);
+        Alcotest.(check (option string)) "agree" None (io_disagreement prog));
     qtest ~count:50 "rule rewrites preserve or refine denotations"
       (Gen.gen_int ())
       (fun e ->

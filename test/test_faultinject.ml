@@ -10,13 +10,26 @@ let show_violations vs =
 let suite =
   [
     tc "template library covers all layers" (fun () ->
-        Alcotest.(check bool)
-          "has concurrent-only template" true
-          (List.exists (fun t -> t.Faultinject.conc_only)
-             Faultinject.templates);
+        (* Every template runs on both layers: the one IO core over the
+           denotation and over the machine. *)
+        Alcotest.(check (list string))
+          "layers" [ "conc"; "machine_conc" ]
+          (List.map Faultinject.layer_name Faultinject.layers);
         Alcotest.(check bool)
           "has at least a dozen templates" true
-          (List.length Faultinject.templates >= 12));
+          (List.length Faultinject.templates >= 12);
+        (* Kill schedules go to the templates whose zero-fault run forks
+           (supervisorTree ones included) or blocks. *)
+        Alcotest.(check (list string))
+          "concurrent templates"
+          [ "fork-bracket"; "supervised-kill"; "blocked-recover";
+            "chan-handoff"; "chan-kill-writer"; "restart-storm-exhaust";
+            "restart-storm-kill" ]
+          (List.filter_map
+             (fun t ->
+               if Faultinject.concurrent t then Some t.Faultinject.name
+               else None)
+             Faultinject.templates));
     tc "zero-fault baselines agree across layers" (fun () ->
         List.iter
           (fun t ->
@@ -39,14 +52,11 @@ let suite =
         Alcotest.(check bool) "checks counted" true (r.Faultinject.checks > 0));
     tc "100 seeded kill schedules respect the invariants" (fun () ->
         (* The throwTo/killThread fault axis specifically: generate
-           schedules until 100 of them carry thread-targeted kills, and
-           check every applicable concurrent layer. *)
-        let conc_templates =
-          List.filter (fun t -> t.Faultinject.conc_only) Faultinject.templates
+           schedules for the concurrent templates until 100 of them carry
+           thread-targeted kills, and check both layers. *)
+        let concurrent =
+          List.filter Faultinject.concurrent Faultinject.templates
         in
-        Alcotest.(check bool)
-          "concurrent templates exist" true
-          (conc_templates <> []);
         let scheduled = ref 0 and checks = ref 0 and vs = ref [] in
         let seed = ref 0 in
         while !scheduled < 100 && !seed < 10_000 do
@@ -61,9 +71,9 @@ let suite =
                       let n, v = Faultinject.check_one t f layer in
                       checks := !checks + n;
                       vs := v @ !vs)
-                    (Faultinject.layers_for t)
+                    Faultinject.layers
                 end)
-            conc_templates;
+            concurrent;
           incr seed
         done;
         Alcotest.(check int) "kill schedules executed" 100 !scheduled;

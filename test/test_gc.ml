@@ -145,13 +145,13 @@ let suite =
            mapM2 (\\r -> case r of { OK v -> putInt v >> putChar ' ';\n\
            Bad e -> putChar '!' }) rs"
         in
-        let plain = Machine_io.run (parse src) in
-        let with_gc = Machine_io.run ~gc_every:3 (parse src) in
+        let plain = Machine_conc.run (parse src) in
+        let with_gc = Machine_conc.run ~gc_every:3 (parse src) in
         Alcotest.(check string)
-          "same output" plain.Machine_io.output with_gc.Machine_io.output;
+          "same output" plain.Machine_conc.output with_gc.Machine_conc.output;
         Alcotest.(check bool)
           "collections ran" true
-          (with_gc.Machine_io.stats.Stats.collections > 0));
+          (with_gc.Machine_conc.stats.Stats.collections > 0));
     tc "repeated collection is idempotent on live size" (fun () ->
         let m = M.create () in
         let a = M.alloc m (parse "take 5 (iterate (\\x -> x + 1) 0)") in
@@ -198,4 +198,32 @@ let suite =
         overflow_once "second cycle";
         Alcotest.(check int) "two overflows counted" 2
           (M.stats m).Stats.heap_overflows);
-  ]
+      tc "a caught HeapOverflow collects and re-arms the limit (bugs #9)"
+      (fun () ->
+        (* Both catches overflow the same 2,000-cell ceiling. Without a
+           collection after the first, the heap latch stays disarmed and
+           the second runs until it diverges. One thread, then the first
+           catch in a forked worker. *)
+        let config = { Machine.default_config with heap_limit = Some 2_000 } in
+        let big = "getException (length (replicate 100000 1))" in
+        let bad = Value.DCon ("Bad", [ Value.DCon ("HeapOverflow", []) ]) in
+        List.iter
+          (fun (name, src) ->
+            let r = Machine_conc.run ~config (parse src) in
+            (match r.Machine_conc.outcome with
+            | Machine_conc.Done d ->
+                Alcotest.check deep name (Value.DCon ("Pair", [ bad; bad ])) d
+            | o -> Alcotest.failf "%s: %a" name Machine_conc.pp_outcome o);
+            Alcotest.(check int) (name ^ ": overflows") 2
+              r.Machine_conc.stats.Stats.heap_overflows;
+            Alcotest.(check bool) (name ^ ": collected") true
+              (r.Machine_conc.stats.Stats.collections > 0))
+          [
+            ( "one thread",
+              big ^ " >>= \\a -> " ^ big ^ " >>= \\b -> return (Pair a b)" );
+            ( "forked worker",
+              "newEmptyMVar >>= \\m -> forkIO (" ^ big
+              ^ " >>= \\a -> putMVar m a) >>= \\u -> takeMVar m >>= \\a -> " ^ big
+              ^ " >>= \\b -> return (Pair a b)" );
+          ]);
+]

@@ -1,7 +1,7 @@
 open Imprecise
 open Helpers
 module E = Exn
-module Mio = Machine_io
+module Mio = Machine_conc
 
 let run ?config ?input ?async src = Mio.run ?config ?input ?async (parse src)
 
@@ -18,8 +18,7 @@ let suite =
           run ~input:"hi"
             "getChar >>= \\a -> getChar >>= \\b -> putChar b >> putChar a"
         in
-        Alcotest.(check string) "out" "ih" r.Mio.output;
-        Alcotest.(check int) "reads" 2 r.Mio.reads);
+        Alcotest.(check string) "out" "ih" r.Mio.output);
     tc "putLine showInt" (fun () ->
         let r = run "putLine (showInt 9876)" in
         Alcotest.(check string) "out" "9876\n" r.Mio.output);
@@ -78,7 +77,7 @@ let suite =
             (parse "let rec spin = return 1 >>= \\x -> spin in spin")
         in
         match r.Mio.outcome with
-        | Mio.Io_diverged -> ()
+        | Mio.Diverged -> ()
         | o -> Alcotest.failf "unexpected %a" Mio.pp_outcome o);
     tc "machine IO agrees with semantic IO on a program battery" (fun () ->
         let programs =
@@ -94,17 +93,17 @@ let suite =
         in
         List.iter
           (fun src ->
-            let sem = Io.run (parse src) in
+            let sem = Conc.run (parse src) in
             let mach = run src in
             Alcotest.(check string)
               (Printf.sprintf "output of %s" src)
-              (Io.output_string_of sem) mach.Mio.output;
+              (Conc.output_string_of sem) mach.Mio.output;
             let comparable =
-              match (sem.Io.outcome, mach.Mio.outcome) with
-              | Io.Done d1, Mio.Done d2 -> Value.deep_equal d1 d2
-              | Io.Uncaught e1, Mio.Uncaught e2 -> E.equal e1 e2
-              | Io.Io_diverged, Mio.Io_diverged -> true
-              | Io.Stuck _, Mio.Stuck _ -> true
+              match (sem.Conc.outcome, mach.Mio.outcome) with
+              | Conc.Done d1, Mio.Done d2 -> Value.deep_equal d1 d2
+              | Conc.Uncaught e1, Mio.Uncaught e2 -> E.equal e1 e2
+              | Conc.Diverged, Mio.Diverged -> true
+              | Conc.Stuck _, Mio.Stuck _ -> true
               | _ -> false
             in
             Alcotest.(check bool)
@@ -119,8 +118,8 @@ let suite =
         in
         check_done "v" (dint 9) r;
         Alcotest.(check string) "order" "AUR" r.Mio.output;
-        Alcotest.(check int) "entered" 1 r.Mio.stats.Stats.brackets_entered;
-        Alcotest.(check int) "released" 1 r.Mio.stats.Stats.brackets_released);
+        Alcotest.(check int) "entered" 1 r.Mio.counters.Mio.brackets_entered;
+        Alcotest.(check int) "released" 1 r.Mio.counters.Mio.brackets_released);
     tc "bracket frames survive collections (gc_every)" (fun () ->
         let r =
           Mio.run ~gc_every:3
@@ -132,7 +131,7 @@ let suite =
         | Mio.Done _ -> ()
         | o -> Alcotest.failf "unexpected %a" Mio.pp_outcome o);
         Alcotest.(check string) "out" "A5050R" r.Mio.output;
-        Alcotest.(check int) "released" 1 r.Mio.stats.Stats.brackets_released);
+        Alcotest.(check int) "released" 1 r.Mio.counters.Mio.brackets_released);
     tc "timeout fires on the machine clock and releases" (fun () ->
         let r =
           run
@@ -142,7 +141,7 @@ let suite =
              Just v -> return v }"
         in
         check_done "timed out" (dint 0) r;
-        Alcotest.(check int) "fired" 1 r.Mio.stats.Stats.timeouts_fired;
+        Alcotest.(check int) "fired" 1 r.Mio.counters.Mio.timeouts_fired;
         Alcotest.(check bool) "released" true (String.contains r.Mio.output 'R'));
     tc "mask defers injected events on the machine" (fun () ->
         let r =
@@ -159,15 +158,14 @@ let suite =
           r.Mio.stats.Stats.async_delivered;
         Alcotest.(check bool)
           "masked sections counted" true
-          (r.Mio.stats.Stats.masked_sections > 0));
+          (r.Mio.counters.Mio.masked_sections > 0));
     tc "retryWithBackoff succeeds once the input changes" (fun () ->
         let r =
           run ~input:"xxy"
             "retryWithBackoff 3 2 (getChar >>= \\c -> case c of { 'x' -> \
              seq (1/0) (return 0) ; z -> return 99 })"
         in
-        check_done "third attempt" (dint 99) r;
-        Alcotest.(check int) "three reads" 3 r.Mio.reads);
+        check_done "third attempt" (dint 99) r);
     tc "heap limit surfaces as catchable HeapOverflow; supervisor recovers"
       (fun () ->
         let r =
@@ -202,4 +200,36 @@ let suite =
         Alcotest.(check bool)
           "overflow counted" true
           (r.Mio.stats.Stats.stack_overflows > 0));
-  ]
+      tc "machine fuel is refilled every transition (bugs #8)" (fun () ->
+        (* 201 catches of a 2,000-element sum, 630 transitions in all: one
+           step budget for the whole run used to run out, so [impexn run
+           --machine] reported divergence. *)
+        let r =
+          run_io_machine
+            (parse_program
+               "loop i acc = if i > 200 then return acc else getException \
+                (sum (enumFromTo 1 2000)) >>= \\v -> case v of { OK x -> \
+                loop (i + 1) (acc + x); Bad e -> loop (i + 1) (acc - 1) };\n\
+                main = loop 1 0 >>= \\s -> putInt s;")
+        in
+        check_done "done" (Value.DCon ("Unit", [])) r;
+        Alcotest.(check string) "sum of sums" "400200000" r.Mio.output);
+      tc "a transition that runs out of fuel raises NonTermination" (fun () ->
+        (* One transition's step budget is the machine's approximation of
+           divergence: running out is the NonTermination exception, caught
+           by getException and otherwise uncaught — not a diverged run. *)
+        let config = { Machine.default_config with fuel = 5_000 } in
+        let long = "sum (enumFromTo 1 100000)" in
+        check_done "caught"
+          (Value.DCon ("Bad", [ Value.DCon ("NonTermination", []) ]))
+          (run ~config ("getException (" ^ long ^ ") >>= \\v -> return v"));
+        let r = run ~config ("putChar 'a' >>= \\u -> putInt (" ^ long ^ ")") in
+        (match r.Mio.outcome with
+        | Mio.Uncaught E.Non_termination -> ()
+        | o -> Alcotest.failf "uncaught: unexpected %a" Mio.pp_outcome o);
+        Alcotest.(check string) "output before the long force" "a" r.Mio.output;
+        check_done "the next transition has fresh fuel" (dint 1)
+          (run ~config
+             ("getException (" ^ long ^ ") >>= \\v -> getException (" ^ long
+            ^ ") >>= \\w -> return 1")));
+]

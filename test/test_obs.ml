@@ -2,7 +2,7 @@ open Imprecise
 open Helpers
 module M = Machine
 module E = Exn
-module Mio = Machine_io
+module Mio = Machine_conc
 
 (* The flight recorder itself, and its wiring into the machines and the
    IO layers: ring-buffer mechanics, the tracing-off fast path, raise
@@ -97,13 +97,13 @@ let suite =
     tc "oracle picks record the un-chosen members" (fun () ->
         let tr = Obs.create ~on:true () in
         let r =
-          Io.run ~trace:tr
+          Conc.run ~trace:tr
             (parse
                "getException (1/0 + error \"Urk\") >>= \\v -> return 0")
         in
-        (match r.Io.outcome with
-        | Io.Done _ -> ()
-        | o -> Alcotest.failf "outcome: %a" Io.pp_outcome o);
+        (match r.Conc.outcome with
+        | Conc.Done _ -> ()
+        | o -> Alcotest.failf "outcome: %a" Conc.pp_outcome o);
         let picks =
           List.filter_map
             (function

@@ -129,8 +129,8 @@ let suite =
              getException ((1/0) + error \"Urk\") >>= \\v2 ->\n\
              return (eqExVal (\\a b -> a == b) v1 v2)"
         in
-        let run e = Io.run ~oracle:(Oracle.create ~seed) e in
-        let outcome e = Fmt.str "%a" Io.pp_outcome (run e).Io.outcome in
+        let run e = Conc.run ~oracle:(Oracle.create ~seed) e in
+        let outcome e = Fmt.str "%a" Conc.pp_outcome (run e).Conc.outcome in
         (* β holds: same oracle sequence, same answers. *)
         String.equal (outcome shared) (outcome substituted));
     (* The machine's chosen representative is always in the semantic set

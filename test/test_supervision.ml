@@ -22,24 +22,13 @@ let mach_done msg expected (r : Machine_conc.result) =
   | Machine_conc.Done d -> Alcotest.check deep msg expected d
   | o -> Alcotest.failf "%s: unexpected %a" msg Machine_conc.pp_outcome o
 
-(* Run a whole program on both concurrent layers and require the same
-   deep result from each. *)
+(* Run a whole program on both IO layers and require the same deep
+   result from each. *)
 let both_conc msg expected src =
   let e = prog src in
   conc_done (msg ^ " (semantic)") expected (Conc.run e);
   mach_done (msg ^ " (machine)") expected
     (Machine_conc.run ~check_invariants:true e)
-
-(* Run a program on the sequential IO layers (semantic LTS + slot
-   machine driver) and require the same deep result. *)
-let both_io msg expected src =
-  let e = prog src in
-  (match (Io.run e).Io.outcome with
-  | Io.Done d -> Alcotest.check deep (msg ^ " (iosem)") expected d
-  | o -> Alcotest.failf "%s: unexpected %a" msg Io.pp_outcome o);
-  match (Machine_io.run e).Machine_io.outcome with
-  | Machine_io.Done d -> Alcotest.check deep (msg ^ " (machine_io)") expected d
-  | o -> Alcotest.failf "%s: unexpected %a" msg Machine_io.pp_outcome o
 
 let suite =
   [
@@ -102,24 +91,24 @@ let suite =
     (* ------------------------------------------------------------ *)
     (* evaluate: the precise forcing point.                          *)
     tc "evaluate forces at perform time, catchably" (fun () ->
-        both_io "caught" (dint 99)
+        both_conc "caught" (dint 99)
           "main = catchIO (evaluate (1 / 0)) (\\e -> return 99);";
-        both_io "ok path" (dint 5) "main = evaluate (2 + 3);");
+        both_conc "ok path" (dint 5) "main = evaluate (2 + 3);");
     tc "evaluate is distinct from seq-then-return as a value" (fun () ->
         (* As pure values: [evaluate (raise X)] is a WHNF constructor,
            [seq (raise X) (return ...)] is Bad. The law table claims
            Invalid in all three designs; this is the witness. *)
-        both_io "constructor survives seq" (dint 1)
+        both_conc "constructor survives seq" (dint 1)
           "main = seq (evaluate (1 / 0)) (return 1);";
         (* Performed, the two agree: the exception surfaces either way. *)
-        both_io "performed agree (evaluate)" (dint 7)
+        both_conc "performed agree (evaluate)" (dint 7)
           "main = catchIO (evaluate (1 / 0) >>= \\x -> return x)\n\
           \               (\\e -> return 7);";
-        both_io "performed agree (seq)" (dint 7)
+        both_conc "performed agree (seq)" (dint 7)
           "main = catchIO (seq (1 / 0) (return (1 / 0)) >>= \\x -> return x)\n\
           \               (\\e -> return 7);");
     tc "throwIO raises precisely" (fun () ->
-        both_io "throwIO" (dint 11)
+        both_conc "throwIO" (dint 11)
           "exception TThrow of Int;\n\
            main = catchIO (throwIO (TThrow 4) >>= \\u -> return 0)\n\
           \                (\\e -> case e of { TThrow n -> return (n + 7);\n\
@@ -127,27 +116,27 @@ let suite =
     (* ------------------------------------------------------------ *)
     (* Typed handlers: catches / try / SomeException.                *)
     tc "catches dispatches to the first matching handler" (fun () ->
-        both_io "second handler" (dint 21)
+        both_conc "second handler" (dint 21)
           "exception THa of Int;\n\
            main = catches (throwIO (THa 7))\n\
           \  [ handler matchUserError (\\s -> return 0),\n\
           \    handler (\\e -> case e of { THa n -> Just n; z -> Nothing })\n\
           \            (\\n -> return (n * 3)) ];");
     tc "catches falls through to rethrow when nothing matches" (fun () ->
-        both_io "outer catch sees it" (dint 5)
+        both_conc "outer catch sees it" (dint 5)
           "exception THb;\n\
            main = catchIO\n\
           \  (catches (throwIO THb) [ handler matchArith (\\e -> return 0) ])\n\
           \  (\\e -> case e of { THb -> return 5; z -> return 0 });");
     tc "matchAny and SomeException round-trip" (fun () ->
-        both_io "matchAny" (dtrue)
+        both_conc "matchAny" (dtrue)
           "main = catches (throwIO Overflow)\n\
           \  [ handler matchAny (\\e ->\n\
           \      case fromException (toException e) of {\n\
           \        Just e2 -> return (eqExn e e2);\n\
           \        Nothing -> return False }) ];");
     tc "try returns Right on success, Left on failure" (fun () ->
-        both_io "try" (Value.DCon ("Pair", [ dint 1; dint 2 ]))
+        both_conc "try" (Value.DCon ("Pair", [ dint 1; dint 2 ]))
           "exception THc of Int;\n\
            main = try (return 1) >>= \\a ->\n\
           \       try (throwIO (THc 2)) >>= \\b ->\n\
