@@ -506,9 +506,9 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Coverage-guided metamorphic differential fuzzing across all six \
-          evaluators (denotational, slot machine, reference machine, fixed \
-          orders) and the two IO layers, with flight-recorder event-kind \
+         "Coverage-guided metamorphic differential fuzzing across all five \
+          evaluators (denotational, slot machine, bytecode, fixed orders) \
+          and the two IO layers, with flight-recorder event-kind \
           coverage, transformation-law oracles, fault schedules, corpus \
           persistence and crash minimisation.")
     Term.(

@@ -16,8 +16,7 @@
       exception provenance shared by every machine and IO layer.
     - {!Resolve}, {!Machine}, {!Machine_conc}, {!Stats}: the
       compile-to-slots pass, the stack-trimming implementation
-      (Section 3.3) and its IO layer;
-      {!Machine_ref} is the name-based baseline it is measured against.
+      (Section 3.3) and its IO layer.
     - {!Bytecode}: the flat bytecode backend — the resolved IR compiled
       to a contiguous instruction array with superinstructions and
       per-case-site inline caches; same machine contract, multi-x
@@ -30,7 +29,7 @@
       programs; this checks them).
     - {!Gen}: random well-typed term generation for testing.
     - {!Fuzz} (with {!Coverage}, {!Corpus}, {!Metamorph}, {!Differ}): the
-      coverage-guided metamorphic differential fuzzer over all six
+      coverage-guided metamorphic differential fuzzer over all five
       evaluators.
     - {!Serve}: evaluation-as-a-service — the quota-enforcing,
       degrade-gracefully engine behind [impexn serve], with its
@@ -66,7 +65,6 @@ module Resolve = Lang.Resolve
 module Machine_conc = Machine.Machine_conc
 module Machine_io = Machine_conc
 module Stats = Machine.Stats
-module Machine_ref = Machine.Stg_ref
 module Bytecode = Machine.Bytecode
 module Machine = Machine.Stg
 module Strictness = Analysis.Strictness

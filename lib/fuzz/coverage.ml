@@ -76,10 +76,7 @@ let note_stats t (s : Machine.Stats.t) =
   note_counter t "thunks_paused" s.thunks_paused;
   note_counter t "catches" s.catches;
   note_counter t "collections" s.collections;
-  note_counter t "async_delivered" s.async_delivered;
-  note_counter t "masked_sections" s.masked_sections;
-  note_counter t "env_lookups" s.env_lookups;
-  note_counter t "slot_reads" s.slot_reads
+  note_counter t "async_delivered" s.async_delivered
 
 let note_io_counters t (c : Semantics.Conc.counters) =
   note_counter t "io.async_delivered" c.async_delivered;

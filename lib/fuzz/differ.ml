@@ -7,7 +7,6 @@ module Exn_set = Semantics.Exn_set
 module V = Semantics.Sem_value
 module Refine = Semantics.Refine
 module Stg = Machine.Stg
-module Stg_ref = Machine.Stg_ref
 module Bytecode = Machine.Bytecode
 module Machine_conc = Machine.Machine_conc
 
@@ -55,14 +54,6 @@ let denot_config v =
 let stg_config v =
   {
     Stg.default_config with
-    fuel = v.machine_fuel;
-    poison_thunks = v.poison_thunks;
-    blackhole_nontermination = true;
-  }
-
-let ref_config v =
-  {
-    Stg_ref.default_config with
     fuel = v.machine_fuel;
     poison_thunks = v.poison_thunks;
     blackhole_nontermination = true;
@@ -196,7 +187,7 @@ let finish ?(extra = []) tr note violations =
   { violations; dump }
 
 (* ------------------------------------------------------------------ *)
-(* Pure terms: six evaluators                                          *)
+(* Pure terms: five evaluators                                         *)
 (* ------------------------------------------------------------------ *)
 
 let check_pure ?cov v t =
@@ -204,76 +195,71 @@ let check_pure ?cov v t =
   let tr = Obs.create ~capacity:1024 ~on:true () in
   let violations = ref [] in
   let flag check detail = violations := { check; detail } :: !violations in
-  let dl = Denot.run_deep ~config:(denot_config v) ~depth:v.depth w in
-  let m = Stg.create ~config:(stg_config v) ~trace:tr () in
-  let d_stg = Stg.deep ~depth:v.depth m (Stg.alloc m w) in
-  (* Exercise the root catch/poison machinery for coverage on a fresh
-     allocation: catching at the root abandons it black-holed, so a
-     [deep] after [force_catch] is not the term's denotation and feeds
-     no comparison. *)
-  ignore (Stg.force_catch m (Stg.alloc m w));
-  let mr = Stg_ref.create ~config:(ref_config v) ~trace:tr () in
-  let d_ref = Stg_ref.deep ~depth:v.depth mr (Stg_ref.alloc mr w) in
-  let ref_stats = Stg_ref.stats mr in
-  (* The sixth evaluator: the flat bytecode backend, under the same
-     machine config (it shares the slot machine's config record). *)
-  let mb =
-    Bytecode.create ~config:(stg_config v) ~trace:tr (Bytecode.compile (Lang.Resolve.expr w))
-  in
-  let d_bc = Bytecode.deep ~depth:v.depth mb (Bytecode.entry mb) in
-  ignore (Bytecode.force_catch mb (Bytecode.entry mb));
-  let fo_l = Fixed.run_deep ~fuel:v.fixed_fuel ~depth:v.depth Fixed.Left_to_right w in
-  let fo_r = Fixed.run_deep ~fuel:v.fixed_fuel ~depth:v.depth Fixed.Right_to_left w in
   let pd = Fmt.str "%a" V.pp_deep in
-  if not (Refine.implements_deep d_stg dl) then
-    flag "stg-implements-denot"
-      (Printf.sprintf "machine %s !⊑ denot %s" (pd d_stg) (pd dl));
-  if not (Refine.implements_deep d_ref dl) then
-    flag "stg-ref-implements-denot"
-      (Printf.sprintf "reference machine %s !⊑ denot %s" (pd d_ref) (pd dl));
-  if not (fixed_implements fo_l dl) then
-    flag "fixed-l2r-implements-denot"
-      (Fmt.str "fixed L2R %a !⊑ denot %s" Fixed.pp_outcome fo_l (pd dl));
-  if not (fixed_implements fo_r dl) then
-    flag "fixed-r2l-implements-denot"
-      (Fmt.str "fixed R2L %a !⊑ denot %s" Fixed.pp_outcome fo_r (pd dl));
-  if not (Refine.implements_deep d_bc dl) then
-    flag "bytecode-implements-denot"
-      (Printf.sprintf "bytecode %s !⊑ denot %s" (pd d_bc) (pd dl));
-  if
-    (not (contains_bottom d_stg))
-    && (not (contains_bottom d_ref))
-    && not (V.deep_equal d_stg d_ref)
-  then
-    flag "stg-vs-stg-ref"
-      (Printf.sprintf "slot machine %s <> reference machine %s" (pd d_stg)
-         (pd d_ref));
-  if
-    (not (contains_bottom d_stg))
-    && (not (contains_bottom d_bc))
-    && not (V.deep_equal d_stg d_bc)
-  then
-    flag "stg-vs-bytecode"
-      (Printf.sprintf "slot machine %s <> bytecode %s" (pd d_stg) (pd d_bc));
-  (let fd_l = Fixed.outcome_to_deep fo_l in
-   if
-     (not (uses_get_exception t))
-     && (not (contains_bottom d_stg))
-     && (not (contains_bottom fd_l))
-     && (not (has_nested_bad false d_stg))
-     && (not (has_nested_bad false fd_l))
-     && not (V.deep_equal d_stg fd_l)
-   then
-     flag "stg-vs-fixed-l2r"
-       (Printf.sprintf "machine %s <> fixed L2R %s" (pd d_stg) (pd fd_l)));
-  note_cov cov tr [ Stg.stats m; ref_stats; Bytecode.stats mb ] [];
+  let denot w = Denot.run_deep ~config:(denot_config v) ~depth:v.depth w in
+  (* The four implementations on one term [w] against its denotation
+     [dl]; [prefix] keeps the optimised term's check names apart. *)
+  let implementations ~prefix w dl =
+    let flag check = flag (prefix ^ check) in
+    let m = Stg.create ~config:(stg_config v) ~trace:tr () in
+    let d_stg = Stg.deep ~depth:v.depth m (Stg.alloc m w) in
+    (* Exercise the root catch/poison machinery for coverage on a fresh
+       allocation: catching at the root abandons it black-holed, so a
+       [deep] after [force_catch] is not the term's denotation and feeds
+       no comparison. *)
+    ignore (Stg.force_catch m (Stg.alloc m w));
+    (* The flat bytecode backend shares the slot machine's config. *)
+    let mb =
+      Bytecode.create ~config:(stg_config v) ~trace:tr
+        (Bytecode.compile (Lang.Resolve.expr w))
+    in
+    let d_bc = Bytecode.deep ~depth:v.depth mb (Bytecode.entry mb) in
+    ignore (Bytecode.force_catch mb (Bytecode.entry mb));
+    let fixed order =
+      Fixed.run_deep ~fuel:v.fixed_fuel ~depth:v.depth order w
+    in
+    let fo_l = fixed Fixed.Left_to_right and fo_r = fixed Fixed.Right_to_left in
+    if not (Refine.implements_deep d_stg dl) then
+      flag "stg-implements-denot"
+        (Printf.sprintf "machine %s !⊑ denot %s" (pd d_stg) (pd dl));
+    if not (fixed_implements fo_l dl) then
+      flag "fixed-l2r-implements-denot"
+        (Fmt.str "fixed L2R %a !⊑ denot %s" Fixed.pp_outcome fo_l (pd dl));
+    if not (fixed_implements fo_r dl) then
+      flag "fixed-r2l-implements-denot"
+        (Fmt.str "fixed R2L %a !⊑ denot %s" Fixed.pp_outcome fo_r (pd dl));
+    if not (Refine.implements_deep d_bc dl) then
+      flag "bytecode-implements-denot"
+        (Printf.sprintf "bytecode %s !⊑ denot %s" (pd d_bc) (pd dl));
+    if
+      (not (contains_bottom d_stg))
+      && (not (contains_bottom d_bc))
+      && not (V.deep_equal d_stg d_bc)
+    then
+      flag "stg-vs-bytecode"
+        (Printf.sprintf "slot machine %s <> bytecode %s" (pd d_stg) (pd d_bc));
+    (let fd_l = Fixed.outcome_to_deep fo_l in
+     if
+       (not (uses_get_exception t))
+       && (not (contains_bottom d_stg))
+       && (not (contains_bottom fd_l))
+       && (not (has_nested_bad false d_stg))
+       && (not (has_nested_bad false fd_l))
+       && not (V.deep_equal d_stg fd_l)
+     then
+       flag "stg-vs-fixed-l2r"
+         (Printf.sprintf "machine %s <> fixed L2R %s" (pd d_stg) (pd fd_l)));
+    note_cov cov tr [ Stg.stats m; Bytecode.stats mb ] []
+  in
+  let dl = denot w in
+  implementations ~prefix:"" w dl;
   (* Optimized variants: run the imprecise pipeline (every pass
      linted) and re-run each evaluator on its output. The optimiser
      may only gain information (denot ⊑ denot of optimised), every
      implementation must still implement the optimised denotation
      (C13), and the deterministic machines must keep agreeing with
-     each other. A lint rejection surfaces as a structured violation
-     instead of killing the campaign. *)
+     each other and with fixed-order L2R. A lint rejection surfaces as
+     a structured violation instead of killing the campaign. *)
   (if v.optimize_variants then
      match
        Transform.Pipeline.optimize ?break_pass:v.break_pass ~trace:tr
@@ -285,57 +271,12 @@ let check_pure ?cov v t =
               Fmt.(list ~sep:(any "; ") Transform.Lint.pp_violation)
               lvs)
      | wo, _report ->
-         let dlo = Denot.run_deep ~config:(denot_config v) ~depth:v.depth wo in
+         let dlo = denot wo in
          if not (V.deep_leq dl dlo) then
            flag "optimized-denot-leq"
              (Printf.sprintf "optimised term lost information: %s !⊑ %s"
                 (pd dl) (pd dlo));
-         let mo = Stg.create ~config:(stg_config v) ~trace:tr () in
-         let d_so = Stg.deep ~depth:v.depth mo (Stg.alloc mo wo) in
-         let mro = Stg_ref.create ~config:(ref_config v) ~trace:tr () in
-         let d_ro = Stg_ref.deep ~depth:v.depth mro (Stg_ref.alloc mro wo) in
-         let mbo =
-           Bytecode.create ~config:(stg_config v) ~trace:tr
-             (Bytecode.compile (Lang.Resolve.expr wo))
-         in
-         let d_bo = Bytecode.deep ~depth:v.depth mbo (Bytecode.entry mbo) in
-         let fo_lo =
-           Fixed.run_deep ~fuel:v.fixed_fuel ~depth:v.depth Fixed.Left_to_right
-             wo
-         in
-         let fo_ro =
-           Fixed.run_deep ~fuel:v.fixed_fuel ~depth:v.depth Fixed.Right_to_left
-             wo
-         in
-         if not (Refine.implements_deep d_so dlo) then
-           flag "optimized-stg-implements-denot"
-             (Printf.sprintf "machine %s !⊑ optimised denot %s" (pd d_so)
-                (pd dlo));
-         if not (Refine.implements_deep d_ro dlo) then
-           flag "optimized-stg-ref-implements-denot"
-             (Printf.sprintf "reference machine %s !⊑ optimised denot %s"
-                (pd d_ro) (pd dlo));
-         if not (Refine.implements_deep d_bo dlo) then
-           flag "optimized-bytecode-implements-denot"
-             (Printf.sprintf "bytecode %s !⊑ optimised denot %s" (pd d_bo)
-                (pd dlo));
-         if not (fixed_implements fo_lo dlo) then
-           flag "optimized-fixed-l2r-implements-denot"
-             (Fmt.str "fixed L2R %a !⊑ optimised denot %s" Fixed.pp_outcome
-                fo_lo (pd dlo));
-         if not (fixed_implements fo_ro dlo) then
-           flag "optimized-fixed-r2l-implements-denot"
-             (Fmt.str "fixed R2L %a !⊑ optimised denot %s" Fixed.pp_outcome
-                fo_ro (pd dlo));
-         if
-           (not (contains_bottom d_so))
-           && (not (contains_bottom d_bo))
-           && not (V.deep_equal d_so d_bo)
-         then
-           flag "optimized-stg-vs-bytecode"
-             (Printf.sprintf "slot machine %s <> bytecode %s on optimised term"
-                (pd d_so) (pd d_bo));
-         note_cov cov tr [ Stg.stats mo; Stg_ref.stats mro; Bytecode.stats mbo ] []);
+         implementations ~prefix:"optimized-" wo dlo);
   finish
     ~extra:[ ("term", Lang.Pretty.expr_to_string t); ("denot", pd dl) ]
     tr "pure differential violation" !violations

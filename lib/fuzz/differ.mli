@@ -1,15 +1,15 @@
 (** The differential driver: one term, every evaluator, one verdict.
 
-    Pure terms run through all six engines — the imprecise denotational
+    Pure terms run through all five engines — the imprecise denotational
     semantics (the reference), the slot-compiled machine {!Machine.Stg},
-    the name-based machine {!Machine.Stg_ref}, the flat bytecode backend
-    {!Machine.Bytecode}, and the precise fixed-order evaluator under
-    both orders — and the results are cross-checked:
+    the flat bytecode backend {!Machine.Bytecode}, and the precise
+    fixed-order evaluator under both orders — and the results are
+    cross-checked:
 
     - every implementation result {e implements} the denotation (C13,
       via {!Semantics.Refine.implements_deep});
-    - the three machines agree exactly (same representative member);
-    - the machine agrees with fixed-order left-to-right (both are
+    - the two machines agree exactly (same representative member);
+    - the slot machine agrees with fixed-order left-to-right (both are
       deterministic left-to-right call-by-need evaluators).
 
     IO and concurrent programs run through the two IO layers — the one
@@ -30,7 +30,8 @@
 
     When [optimize_variants] is on (the default), pure terms are
     additionally optimised by the linted imprecise pipeline and re-run
-    through all six engines against the optimised denotation; a
+    through all five engines against the optimised denotation, with the
+    same cross-checks under check names prefixed ["optimized-"]; a
     {!Transform.Lint.Lint_error} is reported as an ["optimizer-lint"]
     violation.
 

@@ -369,7 +369,6 @@ type t = {
   rctx : R.context;
   mutable fuel_left : int;
   mutable async : (int * Exn.t) list;
-  mutable mask_depth : int;
   mutable heap_check_armed : bool;
   trace : Obs.t;
   prov : Obs.provenance;
@@ -385,7 +384,6 @@ let create ?(config = default_config) ?(trace = Obs.create ())
     rctx;
     fuel_left = config.Stg.fuel;
     async = [];
-    mask_depth = 0;
     heap_check_armed = true;
     trace;
     prov = Obs.new_provenance ();
@@ -402,7 +400,6 @@ let invariant_failure (m : t) (msg : string) : 'a =
     [
       ("stats", Fmt.str "%a" Stats.pp m.stats);
       ("heap", Printf.sprintf "%d cells" (Growarray.length m.heap));
-      ("mask-depth", string_of_int m.mask_depth);
     ]
   in
   raise
@@ -410,29 +407,14 @@ let invariant_failure (m : t) (msg : string) : 'a =
        (Obs.dump ~note:("machine invariant violated: " ^ msg) ~extra m.trace))
 
 let refuel m = m.fuel_left <- m.cfg.Stg.fuel
-let mask_depth m = m.mask_depth
-
-let push_mask m =
-  m.mask_depth <- m.mask_depth + 1;
-  m.stats.Stats.masked_sections <- m.stats.Stats.masked_sections + 1;
-  if Obs.on m.trace then Obs.record m.trace Obs.Ev_mask_push
-
-let pop_mask m =
-  if m.mask_depth > 0 then begin
-    m.mask_depth <- m.mask_depth - 1;
-    if Obs.on m.trace then Obs.record m.trace Obs.Ev_mask_pop
-  end
-
-let set_mask_depth m d = m.mask_depth <- max 0 d
 
 exception Machine_stuck of failure
 
 exception Prim_type_error of string
 
 (* The environment walk off a packed slot word — the bytecode
-   counterpart of {!Stg.lookup}, counted in the same bucket. *)
-let lookup (m : t) (env : env) (w : int) : addr =
-  m.stats.Stats.slot_reads <- m.stats.Stats.slot_reads + 1;
+   counterpart of {!Stg.lookup}. *)
+let lookup (env : env) (w : int) : addr =
   let rec go env n =
     match env with
     | Env_frame (arr, up) ->
@@ -450,31 +432,31 @@ let alloc_cell m cell =
 let alloc_value m v = alloc_cell m (Cell_value v)
 
 (* Resolve every packed slot in [caps] — a counted loop rather than
-   [Array.map (lookup m env)], which would allocate a closure per call
+   [Array.map (lookup env)], which would allocate a closure per call
    on the thunk-allocation hot path. *)
-let lookup_all (m : t) (env : env) (caps : int array) : addr array =
+let lookup_all (env : env) (caps : int array) : addr array =
   let n = Array.length caps in
   if n = 0 then [||]
   else begin
     let arr = Array.make n 0 in
     for i = 0 to n - 1 do
-      Array.unsafe_set arr i (lookup m env (Array.unsafe_get caps i))
+      Array.unsafe_set arr i (lookup env (Array.unsafe_get caps i))
     done;
     arr
   end
 
-let capture m env (caps : int array) : env =
+let capture env (caps : int array) : env =
   if Array.length caps = 0 then Env_nil
-  else Env_frame (lookup_all m env caps, Env_nil)
+  else Env_frame (lookup_all env caps, Env_nil)
 
 let alloc_tspec m env (ti : int) : addr =
   let sp = m.prog.tspecs.(ti) in
-  alloc_cell m (Cell_thunk (sp.t_pc, capture m env sp.t_caps))
+  alloc_cell m (Cell_thunk (sp.t_pc, capture env sp.t_caps))
 
 (* Decode an argument word: a negative word reuses a variable's address,
    a non-negative word allocates its thunk template. *)
 let arg_addr m env (w : int) : addr =
-  if w < 0 then lookup m env (-w - 1) else alloc_tspec m env w
+  if w < 0 then lookup env (-w - 1) else alloc_tspec m env w
 
 let alloc_app m f x =
   alloc_cell m (Cell_thunk (m.prog.app_pc, Env_frame ([| f; x |], Env_nil)))
@@ -561,7 +543,7 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
       stats.Stats.heap_overflows <- stats.Stats.heap_overflows + 1;
       Trip ("heap-limit", Exn.Heap_overflow)
     end
-    else if catch && m.mask_depth = 0 then
+    else if catch then
       match m.async with
       | (k, x) :: rest when stats.Stats.steps >= k ->
           m.async <- rest;
@@ -747,7 +729,7 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
     | Async x -> unwind_async (B_exec (p, env)) x
     | Go -> (
         match Array.unsafe_get codea p with
-            | 0 (* enter *) -> enter (lookup m env codea.(p + 1))
+            | 0 (* enter *) -> enter (lookup env codea.(p + 1))
             | 1 (* ret_int *) -> ret_fused (MInt codea.(p + 1))
             | 2 (* ret_char *) -> ret_fused (MChar (Char.chr codea.(p + 1)))
             | 3 (* ret_str *) ->
@@ -755,7 +737,7 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
             | 4 (* ret_clo *) ->
                 let li = codea.(p + 1) in
                 let l = prog.lams.(li) in
-                ret_fused (MClo (li, lookup_all m env l.l_caps))
+                ret_fused (MClo (li, lookup_all env l.l_caps))
             | 5 (* ret_con *) ->
                 let tag = codea.(p + 1) and n = codea.(p + 2) in
                 let args = Array.make n 0 in
@@ -769,10 +751,10 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
                 exec (p + 2) env
             | 8 (* app_enter *) ->
                 push (BF_apply (arg_addr m env codea.(p + 1)));
-                enter (lookup m env codea.(p + 2))
+                enter (lookup env codea.(p + 2))
             | 9 (* let_slot *) ->
                 exec (p + 2)
-                  (Env_frame ([| lookup m env codea.(p + 1) |], env))
+                  (Env_frame ([| lookup env codea.(p + 1) |], env))
             | 10 (* let_thunk *) ->
                 exec (p + 2)
                   (Env_frame ([| alloc_tspec m env codea.(p + 1) |], env))
@@ -785,7 +767,7 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
                 for i = 0 to n - 1 do
                   let sp = prog.tspecs.(codea.(p + 2 + i)) in
                   Growarray.fast_set m.heap addrs.(i)
-                    (Cell_thunk (sp.t_pc, capture m env' sp.t_caps))
+                    (Cell_thunk (sp.t_pc, capture env' sp.t_caps))
                 done;
                 exec (p + 2 + n) env'
             | 12 (* push_case *) ->
@@ -793,7 +775,7 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
                 exec (p + 2) env
             | 13 (* case_enter *) ->
                 push (BF_case (codea.(p + 1), env));
-                enter (lookup m env codea.(p + 2))
+                enter (lookup env codea.(p + 2))
             | 14 (* push_prim *) ->
                 let si = codea.(p + 1) in
                 let ps = Array.unsafe_get prog.prims si in

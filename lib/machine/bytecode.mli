@@ -21,7 +21,7 @@
     provenance on every exceptional path, and explicit
     {!Lang.Resolve.context} re-entrancy. The admissibility argument is
     the paper's own: observational equivalence is only demanded modulo
-    exception *sets* (Section 4.3), and the six-way differential fuzzer
+    exception *sets* (Section 4.3), and the differential fuzzer
     holds this backend to the same C13 membership bound as the others. *)
 
 type addr = int
@@ -90,15 +90,10 @@ val origin_of : t -> Lang.Exn.t -> Obs.origin option
 val pp_exn_with_origin : t -> Lang.Exn.t Fmt.t
 
 val refuel : t -> unit
-val mask_depth : t -> int
-val push_mask : t -> unit
-val pop_mask : t -> unit
-val set_mask_depth : t -> int -> unit
 
 val inject_async : t -> at_step:int -> Lang.Exn.t -> unit
 (** Same delivery contract as {!Stg.inject_async}: fires at the first
-    dispatch at or after [at_step] while a catch mark is active and the
-    mask depth is zero. *)
+    dispatch at or after [at_step] while a catch mark is active. *)
 
 val clear_async : t -> unit
 

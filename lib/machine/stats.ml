@@ -10,11 +10,8 @@ type t = {
   mutable collections : int;
   mutable live_copied : int;
   mutable async_delivered : int;
-  mutable masked_sections : int;
   mutable heap_overflows : int;
   mutable stack_overflows : int;
-  mutable env_lookups : int;
-  mutable slot_reads : int;
   mutable bc_dispatches : int;
   mutable ic_hits : int;
   mutable ic_misses : int;
@@ -33,11 +30,8 @@ let create () =
     collections = 0;
     live_copied = 0;
     async_delivered = 0;
-    masked_sections = 0;
     heap_overflows = 0;
     stack_overflows = 0;
-    env_lookups = 0;
-    slot_reads = 0;
     bc_dispatches = 0;
     ic_hits = 0;
     ic_misses = 0;
@@ -55,11 +49,8 @@ let reset t =
   t.collections <- 0;
   t.live_copied <- 0;
   t.async_delivered <- 0;
-  t.masked_sections <- 0;
   t.heap_overflows <- 0;
   t.stack_overflows <- 0;
-  t.env_lookups <- 0;
-  t.slot_reads <- 0;
   t.bc_dispatches <- 0;
   t.ic_hits <- 0;
   t.ic_misses <- 0
@@ -76,11 +67,8 @@ let add acc t =
   acc.collections <- acc.collections + t.collections;
   acc.live_copied <- acc.live_copied + t.live_copied;
   acc.async_delivered <- acc.async_delivered + t.async_delivered;
-  acc.masked_sections <- acc.masked_sections + t.masked_sections;
   acc.heap_overflows <- acc.heap_overflows + t.heap_overflows;
   acc.stack_overflows <- acc.stack_overflows + t.stack_overflows;
-  acc.env_lookups <- acc.env_lookups + t.env_lookups;
-  acc.slot_reads <- acc.slot_reads + t.slot_reads;
   acc.bc_dispatches <- acc.bc_dispatches + t.bc_dispatches;
   acc.ic_hits <- acc.ic_hits + t.ic_hits;
   acc.ic_misses <- acc.ic_misses + t.ic_misses
@@ -98,11 +86,8 @@ let fields t =
     ("collections", t.collections);
     ("live_copied", t.live_copied);
     ("async_delivered", t.async_delivered);
-    ("masked_sections", t.masked_sections);
     ("heap_overflows", t.heap_overflows);
     ("stack_overflows", t.stack_overflows);
-    ("env_lookups", t.env_lookups);
-    ("slot_reads", t.slot_reads);
     ("bc_dispatches", t.bc_dispatches);
     ("ic_hits", t.ic_hits);
     ("ic_misses", t.ic_misses);
@@ -116,9 +101,9 @@ let pp_json ppf t =
 let pp ppf t =
   Fmt.pf ppf
     "steps=%d allocs=%d updates=%d max_stack=%d trimmed=%d poisoned=%d \
-     paused=%d catches=%d gcs=%d async=%d masked=%d heap_ovf=%d \
-     stack_ovf=%d env_lookups=%d slot_reads=%d bc_dispatches=%d ic=%d/%d"
+     paused=%d catches=%d gcs=%d async=%d heap_ovf=%d stack_ovf=%d \
+     bc_dispatches=%d ic=%d/%d"
     t.steps t.allocations t.updates t.max_stack t.frames_trimmed
     t.thunks_poisoned t.thunks_paused t.catches t.collections
-    t.async_delivered t.masked_sections t.heap_overflows t.stack_overflows
-    t.env_lookups t.slot_reads t.bc_dispatches t.ic_hits t.ic_misses
+    t.async_delivered t.heap_overflows t.stack_overflows t.bc_dispatches
+    t.ic_hits t.ic_misses

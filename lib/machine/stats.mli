@@ -3,8 +3,8 @@
     allocations, thunk updates, stack depth, frames trimmed by [raise],
     catch frames pushed.
 
-    The IO layer's fault counters (brackets, timeouts, [throwTo]
-    deliveries, blocked recoveries) live in the IO core's own
+    The IO layer's fault counters (brackets, masked sections, timeouts,
+    [throwTo] deliveries, blocked recoveries) live in the IO core's own
     [counters], not here. *)
 
 type t = {
@@ -23,21 +23,10 @@ type t = {
       (** Cells copied by collections (total survivors). *)
   mutable async_delivered : int;
       (** Asynchronous exceptions actually delivered (not deferred). *)
-  mutable masked_sections : int;
-      (** Times async delivery was masked (bracket acquire/release,
-          explicit [Mask]). *)
   mutable heap_overflows : int;
       (** [HeapOverflow] raises from a configured heap limit. *)
   mutable stack_overflows : int;
       (** [StackOverflow] raises from a configured stack limit. *)
-  mutable env_lookups : int;
-      (** Runtime string-keyed map lookups. The slot-compiled machine
-          ({!Stg}) must keep this at exactly 0 — only the name-based
-          reference machine ({!Stg_ref}) pays it, once per variable
-          occurrence, let binding and case binder. *)
-  mutable slot_reads : int;
-      (** Array-environment slot reads by the slot-compiled machine —
-          the pre-resolved counterpart of [env_lookups]. *)
   mutable bc_dispatches : int;
       (** Instruction dispatches by the flat bytecode backend
           ({!Bytecode}); every other machine reports exactly 0. *)

@@ -3,13 +3,10 @@
    slots, constructors are interned integer tags, allocation sites carry
    their free-variable footprints), and this machine evaluates that IR
    with array-backed environments. No string is compared and no
-   string-keyed map is touched at runtime — [Stats.slot_reads] counts
-   the array reads that replaced [Stats.env_lookups], which stays 0.
+   string-keyed map is touched at runtime.
 
    The exception machinery (poisoning, pause cells, masks, resource
-   limits) is transition-for-transition the PR-1 semantics; the
-   name-based original survives unchanged in {!Stg_ref} as the measured
-   baseline. *)
+   limits) follows Sections 3.3 and 5.1. *)
 
 open Lang.Syntax
 module Exn = Lang.Exn
@@ -169,11 +166,10 @@ exception Machine_stuck of failure
    makes no distinction. *)
 exception Prim_type_error of string
 
-(* The slot read that replaced the string-map lookup. The resolver
+(* Read a (frame, offset) slot from the environment chain. The resolver
    guarantees the frame walk and the index are in bounds for well-formed
    IR; a corrupt environment is a machine bug, reported as stuck. *)
-let lookup (m : t) (env : env) (s : R.slot) : addr =
-  m.stats.slot_reads <- m.stats.slot_reads + 1;
+let lookup (env : env) (s : R.slot) : addr =
   let rec go env n =
     match env with
     | Env_frame (arr, up) -> if n = 0 then arr.(s.R.idx) else go up (n - 1)
@@ -192,17 +188,17 @@ let alloc_value m v = alloc_cell m (Cell_value v)
 (* Fill a thunk template's capture array from the current environment
    and allocate it as a single-frame closure over exactly its free
    variables. *)
-let capture m env (caps : R.slot array) : env =
+let capture env (caps : R.slot array) : env =
   if Array.length caps = 0 then Env_nil
-  else Env_frame (Array.map (lookup m env) caps, Env_nil)
+  else Env_frame (Array.map (lookup env) caps, Env_nil)
 
 let alloc_spec m env (spec : R.tspec) : addr =
-  alloc_cell m (Cell_thunk (spec.R.tbody, capture m env spec.R.caps))
+  alloc_cell m (Cell_thunk (spec.R.tbody, capture env spec.R.caps))
 
 (* The resolver's statically-decided [alloc_in]: variable arguments
    reuse their heap address, everything else becomes a compact thunk. *)
 let arg_addr m env = function
-  | R.Aslot s -> lookup m env s
+  | R.Aslot s -> lookup env s
   | R.Athunk spec -> alloc_spec m env spec
 
 let alloc_resolved m r = alloc_cell m (Cell_thunk (r, Env_nil))
@@ -511,7 +507,7 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
         | Cell_unused -> type_error "dangling address")
     | C_eval (e, env) -> (
         match e with
-        | R.RVar s -> code := C_enter (lookup m env s)
+        | R.RVar s -> code := C_enter (lookup env s)
         | R.RUnbound x ->
             code :=
               raise_to_code ~label:"unbound"
@@ -519,7 +515,7 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
         | R.RLit (Lit_int n) -> code := C_ret (MInt n)
         | R.RLit (Lit_char c) -> code := C_ret (MChar c)
         | R.RLit (Lit_string s) -> code := C_ret (MString s)
-        | R.RLam l -> code := C_ret (MClo (l, Array.map (lookup m env) l.R.lcaps))
+        | R.RLam l -> code := C_ret (MClo (l, Array.map (lookup env) l.R.lcaps))
         | R.RApp (f, a) ->
             let a_addr = arg_addr m env a in
             push (F_apply a_addr);
@@ -541,7 +537,7 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
             Array.iteri
               (fun i spec ->
                 Growarray.set m.heap addrs.(i)
-                  (Cell_thunk (spec.R.tbody, capture m env' spec.R.caps)))
+                  (Cell_thunk (spec.R.tbody, capture env' spec.R.caps)))
               specs;
             code := C_eval (body, env')
         | R.RRaise (lbl, e1) ->

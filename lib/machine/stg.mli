@@ -7,11 +7,7 @@
     slots, constructor names to interned integer tags, allocation sites
     to precomputed free-variable footprints — and the machine then
     evaluates the resolved IR with array-backed environments: no string
-    comparison and no string-keyed map on any runtime path
-    ([Stats.env_lookups] stays 0; [Stats.slot_reads] counts the array
-    reads that replaced it). The name-based original is preserved in
-    {!Stg_ref} as the measured baseline; bench Table R quantifies the
-    difference.
+    comparison and no string-keyed map on any runtime path.
 
     The exception machinery is unchanged from PR 1:
 

@@ -1,9 +1,8 @@
 (** The flight recorder: cross-layer observability for the imprecise
     exception machinery.
 
-    Three pieces, shared by {!Machine.Stg}, {!Machine.Stg_ref},
-    {!Machine.Bytecode} and the two IO layers, {!Semantics.Conc} and
-    {!Machine.Machine_conc}:
+    Three pieces, shared by {!Machine.Stg}, {!Machine.Bytecode} and the
+    two IO layers, {!Semantics.Conc} and {!Machine.Machine_conc}:
 
     - a fixed-size ring buffer of structured {!event}s, gated by one
       branch on {!on} so instrumented hot paths cost nothing when the

@@ -242,7 +242,7 @@ and eval_prim ctx env (p : Lang.Prim.t) (args : expr list) : fvalue =
           | FFun g ->
               raise
                 (Raise_exn (exn_of_fvalue (g (from_value (exn_to_fvalue e)))))
-          | _ -> type_error "mapException: not a function"))
+          | _ -> type_error "application of a non-function"))
   | P.Unsafe_is_exception, [ e1 ] -> (
       try
         let _ = eval ctx env e1 in

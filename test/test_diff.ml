@@ -140,6 +140,24 @@ let suite =
         let sem = Conc.run ~config:(Denot.with_fuel 100_000) (Prelude.wrap prog) in
         Alcotest.(check bool) "picked from bottom" true (sem.Conc.counters.Conc.bottom_picks > 0);
         Alcotest.(check (option string)) "agree" None (io_disagreement prog));
+    tc "mapException of a non-function: every evaluator reports one error"
+      (fun () ->
+        (* A fuzz-found witness (EXPERIMENTS bugs table, row 11) and
+           variants: the fixed-order evaluators must raise the
+           denotation's TypeError, "application of a non-function". *)
+        List.iter
+          (fun src ->
+            let r = Differ.check_pure Differ.default_vconfig (parse_raw src) in
+            Alcotest.(check (list string))
+              (src ^ ": no violations") []
+              (List.map
+                 (fun v -> Fmt.str "%a" Differ.pp_violation v)
+                 r.Differ.violations))
+          [
+            "mapException 1 (1 / 0)";
+            "mapException True (error \"Urk\")";
+            "mapException 'c' (head [])";
+          ]);
     qtest ~count:50 "rule rewrites preserve or refine denotations"
       (Gen.gen_int ())
       (fun e ->

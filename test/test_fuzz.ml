@@ -50,8 +50,7 @@ let suite =
           match
             List.find_opt
               (fun (c : Fuzz.crash) ->
-                String.equal c.Fuzz.check "stg-implements-denot"
-                || String.equal c.Fuzz.check "stg-ref-implements-denot")
+                String.equal c.Fuzz.check "stg-implements-denot")
               r.Fuzz.crashes
           with
           | Some c -> c

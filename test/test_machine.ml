@@ -270,28 +270,4 @@ let suite =
               ((M.stats m).Stats.stack_overflows > 0)
         | Ok _ -> Alcotest.fail "expected StackOverflow"
         | Error f -> Alcotest.failf "unexpected %a" M.pp_failure f);
-    tc "slot machine: no string-map lookups, slot reads dominate" (fun () ->
-        (* The compile-to-slots pass must leave nothing name-based on the
-           runtime path: every variable occurrence is an array read
-           (slot_reads), and the string-keyed lookup counter stays at
-           exactly zero. *)
-        let _, st =
-          M.run_deep (parse "sum (map (\\x -> x * x) (enumFromTo 1 50))")
-        in
-        Alcotest.(check int) "env_lookups = 0" 0 st.Stats.env_lookups;
-        Alcotest.(check bool) "slot_reads > 0" true (st.Stats.slot_reads > 0);
-        Alcotest.(check bool)
-          "slot reads strictly dominate map lookups" true
-          (st.Stats.slot_reads > st.Stats.env_lookups));
-    tc "reference machine pays env_lookups the slot machine does not"
-      (fun () ->
-        let src = "length (filter (\\x -> x > 2) [1,2,3,4,5])" in
-        let dr, str = Machine_ref.run_deep (parse src) in
-        let ds, sts = M.run_deep (parse src) in
-        Alcotest.check deep "machines agree" dr ds;
-        Alcotest.(check bool)
-          "reference machine does pay map lookups" true
-          (str.Stats.env_lookups > 0);
-        Alcotest.(check int)
-          "slot machine pays none" 0 sts.Stats.env_lookups);
   ]

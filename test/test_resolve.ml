@@ -2,138 +2,40 @@ open Imprecise
 open Helpers
 module E = Exn
 module M = Machine
-module MR = Machine_ref
+module B = Bytecode
 
-(* Differential suite for the compile-to-slots pass: the slot-compiled
-   machine ({!Machine}) must be observationally identical to the
-   name-based reference machine ({!Machine_ref}) — both are deterministic
-   left-to-right call-by-need evaluators of the same expression — and must
-   still refine the denotational semantics. The default generator
-   configuration includes raise sites and division, so exceptional
-   outcomes are exercised throughout. *)
+(* Suite for the compile-to-slots pass: resolution is total, and the
+   slot-compiled machine's pause cells and unwinding work over the
+   resolved IR's array frames. Agreement of the slot machine with the
+   denotation, with fixed-order evaluation and with the bytecode backend
+   on generated terms is checked in test_diff and test_bytecode. *)
 
 let config_m = { M.default_config with fuel = 2_000_000 }
-let config_r = { MR.default_config with fuel = 2_000_000 }
-let denot_config = Denot.with_fuel 20_000
 
-let slot_deep e = M.run_deep ~config:config_m ~depth:24 e
-let ref_deep e = MR.run_deep ~config:config_r ~depth:24 e
-let denot_deep e = Denot.run_deep ~config:denot_config ~depth:24 e
-
-(* The two machines count steps slightly differently (e.g. the resolver
-   desugars [Fix] into a [letrec], adding a variable hop), so a fuel
-   verdict on one side need not land on the other. Exact agreement is
-   required only when neither side reports divergence. *)
-let rec mentions_all = function
-  | Value.DBad s -> Exn_set.is_all s
-  | Value.DCon (_, ds) -> List.exists mentions_all ds
-  | Value.DInt _ | Value.DChar _ | Value.DString _ | Value.DFun | Value.DCut
-    ->
-      false
-
-(* The exception machinery must fire identically on both machines: same
-   number of catch marks consulted, same thunks poisoned while
-   unwinding, same async deliveries. (Step-dependent counters such as
-   [frames_trimmed] are compared separately on curated programs — the
-   resolver's [Fix] desugaring changes the stack shape slightly, so they
-   need not match on arbitrary generated terms.) *)
-let check_stats_parity (sts : Stats.t) (str : Stats.t) =
-  let pair name a b =
-    if a <> b then
-      QCheck2.Test.fail_reportf "stats parity: %s %d (slot) vs %d (ref)"
-        name a b
-    else true
-  in
-  pair "catches" sts.Stats.catches str.Stats.catches
-  && pair "thunks_poisoned" sts.Stats.thunks_poisoned
-       str.Stats.thunks_poisoned
-  && pair "async_delivered" sts.Stats.async_delivered
-       str.Stats.async_delivered
-
-let machines_agree w =
-  let ds, sts = slot_deep w in
-  let dr, str = ref_deep w in
-  (* The resolved runtime path must never touch a string-keyed map. *)
-  if sts.Stats.env_lookups <> 0 then
-    QCheck2.Test.fail_reportf "slot machine paid %d env_lookups"
-      sts.Stats.env_lookups;
-  if mentions_all ds || mentions_all dr then true
-  else if Value.deep_equal ds dr then
-    check_stats_parity sts str
-  else
-    QCheck2.Test.fail_reportf "slot: %a@.ref:  %a" Value.pp_deep ds
-      Value.pp_deep dr
-
-(* Interrupt both machines mid-evaluation with the same schedule, resume,
-   and require the resumed value to equal the uninterrupted one: the slot
-   machine's pause cells (now closing over array frames rather than maps)
-   must preserve exactly as much work. *)
+(* Interrupt the slot machine mid-evaluation, resume, and require the
+   resumed value to equal the uninterrupted one: pause cells closing
+   over array frames must preserve exactly as much work. *)
 let interrupted_resume_agree src =
   let expected, _ = M.run_deep (parse src) in
-  let slot =
-    let m = M.create () in
-    M.inject_async m ~at_step:50 E.Interrupt;
-    let a = M.alloc m (parse src) in
-    (match M.force_catch m a with
-    | Error (M.Fail_async E.Interrupt) -> ()
-    | Ok _ -> Alcotest.fail "slot: expected interruption"
-    | Error f -> Alcotest.failf "slot: unexpected %a" M.pp_failure f);
-    Alcotest.(check bool)
-      "slot machine paused work" true
-      ((M.stats m).Stats.thunks_paused > 0);
+  let m = M.create () in
+  M.inject_async m ~at_step:50 E.Interrupt;
+  let a = M.alloc m (parse src) in
+  (match M.force_catch m a with
+  | Error (M.Fail_async E.Interrupt) -> ()
+  | Ok _ -> Alcotest.fail "slot: expected interruption"
+  | Error f -> Alcotest.failf "slot: unexpected %a" M.pp_failure f);
+  Alcotest.(check bool)
+    "slot machine paused work" true
+    ((M.stats m).Stats.thunks_paused > 0);
+  let resumed =
     match M.force_catch m a with
     | Ok v -> M.deep m (M.alloc_value m v)
     | Error f -> Alcotest.failf "slot: resume failed: %a" M.pp_failure f
   in
-  let reference =
-    let m = MR.create () in
-    MR.inject_async m ~at_step:50 E.Interrupt;
-    let a = MR.alloc m (parse src) in
-    (match MR.force_catch m a with
-    | Error (MR.Fail_async E.Interrupt) -> ()
-    | Ok _ -> Alcotest.fail "ref: expected interruption"
-    | Error f -> Alcotest.failf "ref: unexpected %a" MR.pp_failure f);
-    match MR.force_catch m a with
-    | Ok v -> MR.deep m (MR.alloc_value m v)
-    | Error f -> Alcotest.failf "ref: resume failed: %a" MR.pp_failure f
-  in
-  Alcotest.check deep "slot resume = uninterrupted" expected slot;
-  Alcotest.check deep "ref resume = uninterrupted" expected reference
+  Alcotest.check deep "slot resume = uninterrupted" expected resumed
 
 let suite =
   [
-    qtest ~count:200 "slot machine agrees with reference machine (int)"
-      (Gen.gen_int ())
-      (fun e -> machines_agree (Prelude.wrap e));
-    qtest ~count:120 "slot machine agrees with reference machine (list)"
-      (Gen.gen_list ())
-      (fun e -> machines_agree (Prelude.wrap e));
-    qtest ~count:120 "slot machine refines the denotation"
-      (Gen.gen_int ())
-      (fun e ->
-        let w = Prelude.wrap e in
-        let d, _ = slot_deep w in
-        implements d (denot_deep w));
-    qtest ~count:100 "machines report the same caught representative"
-      (Gen.gen_int ())
-      (fun e ->
-        (* Catch at the top: when the term raises, both machines must
-           surface the *same* exception — same trim order, same
-           left-to-right choice of representative. *)
-        let w = Prelude.wrap e in
-        let rs =
-          let m = M.create ~config:config_m () in
-          M.force_catch m (M.alloc m w)
-        in
-        let rr =
-          let m = MR.create ~config:config_r () in
-          MR.force_catch m (MR.alloc m w)
-        in
-        match (rs, rr) with
-        | Error (M.Fail_exn e1), Error (MR.Fail_exn e2) -> E.equal e1 e2
-        | Error M.Fail_diverged, _ | _, Error MR.Fail_diverged -> true
-        | Ok _, Ok _ -> true
-        | _ -> false);
     qtest ~count:80 "resolution is total and accounted"
       (Gen.gen_int ())
       (fun e ->
@@ -142,17 +44,17 @@ let suite =
         let w = Prelude.wrap e in
         let r = Resolve.expr w in
         Resolve.count_nodes r > 0 && Resolve.unbound r = []);
-    tc "async interruption and resume agree across machines" (fun () ->
+    tc "async interruption and resume agree with the uninterrupted run"
+      (fun () ->
         interrupted_resume_agree "product (enumFromTo 1 10)");
     tc "async interruption under a deeper pipeline" (fun () ->
         interrupted_resume_agree
           "sum (map (\\x -> x * x) (enumFromTo 1 40))");
     tc "exception-path stats match across machines" (fun () ->
-        (* Same raise under a catch on curated programs with identical
-           stack shapes (no [Fix], so the resolver adds no extra hops):
-           the unwinding machinery must do exactly the same amount of
-           work on both machines — frames trimmed, thunks poisoned,
-           catch marks consulted, async events delivered. *)
+        (* Same raise under a catch on curated programs: the unwinding
+           machinery must do exactly the same amount of work on the slot
+           machine and the bytecode backend — frames trimmed, thunks
+           poisoned, catch marks consulted, async events delivered. *)
         List.iter
           (fun (src, async) ->
             let run_slot () =
@@ -163,25 +65,25 @@ let suite =
               ignore (M.force_catch m (M.alloc m (parse src)));
               M.stats m
             in
-            let run_ref () =
-              let m = MR.create ~config:config_r () in
+            let run_bc () =
+              let m = B.create ~config:config_m (B.compile_expr (parse src)) in
               Option.iter
-                (fun (k, x) -> MR.inject_async m ~at_step:k x)
+                (fun (k, x) -> B.inject_async m ~at_step:k x)
                 async;
-              ignore (MR.force_catch m (MR.alloc m (parse src)));
-              MR.stats m
+              ignore (B.force_catch m (B.entry m));
+              B.stats m
             in
-            let sts = run_slot () and str = run_ref () in
+            let sts = run_slot () and stb = run_bc () in
             let check name a b =
               Alcotest.(check int) (Printf.sprintf "%s: %s" src name) b a
             in
-            check "catches" sts.Stats.catches str.Stats.catches;
+            check "catches" sts.Stats.catches stb.Stats.catches;
             check "thunks_poisoned" sts.Stats.thunks_poisoned
-              str.Stats.thunks_poisoned;
+              stb.Stats.thunks_poisoned;
             check "async_delivered" sts.Stats.async_delivered
-              str.Stats.async_delivered;
+              stb.Stats.async_delivered;
             check "frames_trimmed" sts.Stats.frames_trimmed
-              str.Stats.frames_trimmed)
+              stb.Stats.frames_trimmed)
           [
             ("1/0", None);
             ("head []", None);

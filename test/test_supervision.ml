@@ -41,19 +41,13 @@ let suite =
              (Exn_set.singleton
                 (E.User_exception ("TBoom", Some (E.P_int 3)))))
           (Denot.run_deep e);
-        (* All three machine backends agree on the member. *)
+        (* Both machine backends agree on the member. *)
         let slot, _ = Machine.run_deep e in
         Alcotest.check deep "slot"
           (Value.DBad
              (Exn_set.singleton
                 (E.User_exception ("TBoom", Some (E.P_int 3)))))
           slot;
-        let r, _ = Machine_ref.run_deep e in
-        Alcotest.check deep "stg_ref"
-          (Value.DBad
-             (Exn_set.singleton
-                (E.User_exception ("TBoom", Some (E.P_int 3)))))
-          r;
         let bm = Bytecode.create (Bytecode.compile_expr e) in
         Alcotest.check deep "bytecode"
           (Value.DBad
