@@ -386,12 +386,12 @@ let table_async () =
     [ 2_000; 8_000; 20_000 ]
 
 (* ------------------------------------------------------------------ *)
-(* Table F — exception-finding mode cost (Section 4.3, discussion)     *)
+(* Table M — exception-finding mode cost (Section 4.3, discussion)     *)
 (* ------------------------------------------------------------------ *)
 
 let table_finding () =
   header
-    "Table F (Section 4.3): the semantics explores all case \
+    "Table M (Section 4.3): the semantics explores all case \
      alternatives on exceptional scrutinees; the implementation does \
      not (denotational fuel used vs machine steps)";
   Fmt.pr "%-34s %14s %14s@." "expression" "denot fuel" "machine steps";
@@ -745,7 +745,7 @@ let table_conc_scale ~smoke () =
     ratios
 
 (* ------------------------------------------------------------------ *)
-(* Table F — bracket/mask hot-path overhead (robustness layer)          *)
+(* Table B — bracket/mask hot-path overhead (robustness layer)          *)
 (* ------------------------------------------------------------------ *)
 
 (* The exception-safety combinators must be pay-as-you-go: wrapping a
@@ -1129,7 +1129,10 @@ let table_asyncexn () =
    round mixes the five canonical killers (heap bomb, stack bomb, fuel
    burner, black hole, spinner-with-timeout) with well-behaved
    requests and asserts the latter still succeed: degradation is
-   per-request, never service-wide. Emitted as BENCH_S.json. *)
+   per-request, never service-wide. Two front-end rows follow: what
+   resolving one wrapped corpus program costs in a fresh context and in
+   a context that already holds the resolved Prelude. Emitted as
+   BENCH_S.json. *)
 let table_serve () =
   header
     "Table S: serve daemon under corpus replay + fault mix, both backends";
@@ -1265,9 +1268,43 @@ let table_serve () =
         (if fault_ok then "all ok" else "FAILED")
         bname)
     rounds;
+  (* Resolve's fixed cost: a fresh context resolves all of the Prelude's
+     bindings, a context that already holds them only the body. The
+     probe is the largest pure corpus program, the least favourable
+     ratio. The words are minor-heap allocation, a deterministic count;
+     the times are [time_pair]'s, context creation included on the
+     fresh side. *)
+  let probe =
+    List.fold_left
+      (fun a e ->
+        if Syntax.size e.Corpus.expr > Syntax.size a.Corpus.expr then e
+        else a)
+      (List.hd pure) pure
+  in
+  let wrapped = Prelude.wrap probe.Corpus.expr in
+  let fresh () = ignore (Resolve.expr ~ctx:(Resolve.new_context ()) wrapped) in
+  let held = Resolve.new_context () in
+  let memo () = ignore (Resolve.expr ~ctx:held wrapped) in
+  memo ();
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let fresh_words = words fresh and memo_words = words memo in
+  let t_fresh, t_memo = time_pair fresh memo in
+  let ratio = t_fresh.min_ns /. t_memo.min_ns in
+  Fmt.pr "@.resolve %s (wrapped):@." probe.Corpus.name;
+  Fmt.pr "%-26s %12s %12s@." "metric" "fresh ctx" "Prelude held";
+  Fmt.pr "%-26s %12.0f %12.0f@." "resolve minor words" fresh_words
+    memo_words;
+  Fmt.pr "%-26s %12.0f %12.0f  (fresh/held %.0fx)@." "resolve time (min ns)"
+    t_fresh.min_ns t_memo.min_ns ratio;
   let json =
     Printf.sprintf
-      "{\"bench\":\"serve\",\"wallclock\":true,\"backends\":[%s]}\n"
+      "{\"bench\":\"serve\",\"wallclock\":true,\"resolve\":{\"program\":%S,\"fresh_minor_words\":%.0f,\"memo_minor_words\":%.0f,\"fresh_min_ns\":%.0f,\"memo_min_ns\":%.0f,\"fresh_over_memo\":%.1f,\"trials\":%d},\"backends\":[%s]}\n"
+      probe.Corpus.name fresh_words memo_words t_fresh.min_ns t_memo.min_ns
+      ratio t_fresh.trials
       (String.concat ","
          (List.map
             (fun ( bname,
@@ -1285,7 +1322,14 @@ let table_serve () =
   close_out oc;
   Fmt.pr "(BENCH_S.json written)@.";
   if List.exists (fun (_, (_, _, _, _, _, _, ok)) -> not ok) rounds then
+    exit 1;
+  if memo_words *. 20. > fresh_words then begin
+    Fmt.epr
+      "table_serve: resolving with the Prelude held allocated %.0f words, \
+       more than 1/20 of a fresh resolution's %.0f@."
+      memo_words fresh_words;
     exit 1
+  end
 
 let () =
   (* [--smoke]: the CI-sized run (Table C' stops at 10k threads). *)

@@ -85,6 +85,19 @@ type context = {
   con_table : (string, int) Hashtbl.t;
   con_names : (int, string) Hashtbl.t;
   mutable next_tag : int;
+  mutable prelude : prelude_ir option;
+      (** The Prelude's resolved bindings, filled by the first
+          [Prelude.wrap]ped term {!expr} resolves in this context. *)
+}
+
+(* The [Letrec] over {!Prelude.defs} at the root of a wrapped program,
+   resolved once: its bindings' frame (the body's scope), their specs
+   (tags interned in the owning context) and how many raise sites they
+   numbered, which is where the body's numbering starts. *)
+and prelude_ir = {
+  pframe : string array;
+  pspecs : tspec array;
+  psites : int;
 }
 
 let new_context () =
@@ -93,6 +106,7 @@ let new_context () =
       con_table = Hashtbl.create 64;
       con_names = Hashtbl.create 64;
       next_tag = 0;
+      prelude = None;
     }
   in
   List.iter
@@ -242,8 +256,9 @@ let captures (scope : scope) (e : expr) : string array * slot array =
 (* Each [raise] occurrence gets a site number scoped to the top-level
    {!expr} call plus a hint of what it raises, so exception provenance
    can name the site: "raise#3:UserError". Numbering restarts at 0 for
-   every resolution, so resolving the same source twice yields
-   structurally identical IR — the property the serve daemon's
+   every resolution (a wrapped program's body numbers on from the
+   Prelude's sites, held or not), so resolving the same source twice
+   yields structurally identical IR — the property the serve daemon's
    compiled-program cache keys on (a cache hit and a fresh resolution
    must be indistinguishable, provenance labels included). *)
 type pass_state = { rctx : context; mutable next_site : int }
@@ -285,13 +300,8 @@ let rec resolve (st : pass_state) (scope : scope) (e : expr) : rexpr =
   | Let (x, e1, e2) ->
       RLet (resolve_arg st scope e1, resolve st ([| x |] :: scope) e2)
   | Letrec (binds, body) ->
-      let frame = Array.of_list (List.map fst binds) in
-      let scope' = frame :: scope in
-      let specs =
-        Array.of_list
-          (List.map (fun (_, rhs) -> thunk_spec st scope' rhs) binds)
-      in
-      RLetrec (specs, resolve st scope' body)
+      let frame, specs = letrec_specs st scope binds in
+      RLetrec (specs, resolve st (frame :: scope) body)
   | Fix e1 ->
       (* fix e ≡ letrec x = e x in x — the machine's own reading,
          desugared here so the IR needs no fixpoint node. *)
@@ -314,6 +324,15 @@ and resolve_arg st scope e =
       | None -> Athunk { caps = [||]; tbody = RUnbound x })
   | _ -> Athunk (thunk_spec st scope e)
 
+(* A letrec group's frame and its bindings' specs, resolved before the
+   body so the group's raise sites number first. *)
+and letrec_specs st scope binds =
+  let frame = Array.of_list (List.map fst binds) in
+  let scope' = frame :: scope in
+  ( frame,
+    Array.of_list (List.map (fun (_, rhs) -> thunk_spec st scope' rhs) binds)
+  )
+
 and thunk_spec st scope e =
   let names, caps = captures scope e in
   { caps; tbody = resolve st [ names ] e }
@@ -332,8 +351,30 @@ and resolve_alt st scope (a : alt) : ralt =
   | Pany (Some x) ->
       { rpat = Rpany true; rrhs = resolve st ([| x |] :: scope) a.rhs }
 
+let resolved_prelude ctx =
+  match ctx.prelude with
+  | Some p -> p
+  | None ->
+      let st = { rctx = ctx; next_site = 0 } in
+      let pframe, pspecs = letrec_specs st [] Prelude.defs in
+      let p = { pframe; pspecs; psites = st.next_site } in
+      ctx.prelude <- Some p;
+      p
+
+(* A [Prelude.wrap]ped program, recognised by the physical identity of
+   the shared bindings list (as [Lint]'s [Pristine] shape does) and only
+   at the root, where the outer scope is empty: it reuses the context's
+   resolved Prelude and resolves just the body, numbering raise sites
+   from where the Prelude's end. The IR is structurally the one a full
+   resolution gives; only the spec array is shared, which is safe
+   because resolution is deterministic and no machine mutates IR. *)
 let expr ?(ctx = global_context) (e : expr) : rexpr =
-  resolve { rctx = ctx; next_site = 0 } [] e
+  match e with
+  | Letrec (defs, body) when defs == Prelude.defs ->
+      let p = resolved_prelude ctx in
+      let st = { rctx = ctx; next_site = p.psites } in
+      RLetrec (p.pspecs, resolve st [ p.pframe ] body)
+  | _ -> resolve { rctx = ctx; next_site = 0 } [] e
 
 (* ------------------------------------------------------------------ *)
 (* Static accounting (for tests and docs)                              *)

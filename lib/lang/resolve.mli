@@ -60,7 +60,11 @@ type context
     monotone and idempotent, so any number of machines may share a
     context; what a context buys is an explicit boundary — an embedder
     can sandbox a tenant's constructor vocabulary, and tests can prove
-    two contexts never bleed into each other. *)
+    two contexts never bleed into each other.
+
+    A context also holds the resolved {!Prelude.defs}, filled the first
+    time {!expr} resolves a {!Prelude.wrap}ped term in it. Its tags are
+    the context's own, so every context fills its own copy. *)
 
 val global_context : context
 (** The shared default. The compiled-program cache and every
@@ -76,7 +80,16 @@ val expr : ?ctx:context -> Syntax.expr -> rexpr
 (** Resolve a (usually closed) top-level expression. Resolution is
     deterministic: the same source yields structurally identical IR
     (raise-site numbering restarts per call), which is what lets a
-    compiled-program cache substitute for a fresh resolution. *)
+    compiled-program cache substitute for a fresh resolution.
+
+    A term [Letrec (defs, body)] whose [defs] is physically
+    {!Prelude.defs} (what {!Prelude.wrap} builds) resolves only [body]:
+    its [RLetrec] reuses the context's resolved Prelude, and the body's
+    raise sites number from where the Prelude's end. The result is
+    structurally equal to a full resolution; the Prelude's spec array
+    is shared by every such program of the context, and must not be
+    mutated. A copy of the bindings list, or the same list under a
+    nested [Letrec], takes the full path. *)
 
 val con_tag : ?ctx:context -> string -> int
 (** Intern a constructor name (idempotent; builtins are pre-interned in

@@ -76,7 +76,9 @@ type config = {
           deterministically. *)
 }
 
-let default_now () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+(* Deadlines are durations, so they read the monotonic clock: a step of
+   the wall clock must neither fire nor postpone them. *)
+let default_now = Monotonic_clock.now
 
 let default_config =
   {
@@ -283,7 +285,12 @@ let reply_err s id kind detail =
    exactly the compile-once/run-many contract of
    {!M.alloc_resolved}. Resolution always uses
    {!R.global_context}: a shared cache requires a shared constructor
-   vocabulary. *)
+   vocabulary. That context also holds the resolved Prelude, so an
+   unoptimised miss resolves only the program's body, and every entry's
+   Prelude letrec shares one spec array; an entry's own IR is its body.
+   Under [optimize] the pipeline prunes the Prelude group, so the term
+   is no longer the shared list and resolves in full. A bytecode entry
+   still compiles the whole Prelude. *)
 
 let cache_touch t e =
   t.cache_clock <- t.cache_clock + 1;

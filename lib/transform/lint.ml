@@ -347,15 +347,21 @@ module EM = Map.Make (struct
   let compare = Lang.Syntax.compare
 end)
 
-let render_memo : string option EM.t ref = ref EM.empty
+(* The map travels with its size, so a miss checks the bound without
+   walking the map, and one [ref] write still swaps both. Bounded: it
+   starts over once it holds 1,024 renderings. *)
+type render_memo = { renders : string option EM.t; size : int }
+
+let render_memo = ref { renders = EM.empty; size = 0 }
 
 let memo_render key (render : unit -> string option) =
-  match EM.find_opt key !render_memo with
+  match EM.find_opt key !render_memo.renders with
   | Some r -> r
   | None ->
       let r = render () in
-      if EM.cardinal !render_memo >= 1024 then render_memo := EM.empty;
-      render_memo := EM.add key r !render_memo;
+      let m = !render_memo in
+      let m = if m.size >= 1024 then { renders = EM.empty; size = 0 } else m in
+      render_memo := { renders = EM.add key r m.renders; size = m.size + 1 };
       r
 
 (* The rendering is lazy: a program none of whose body-rewriting passes
@@ -405,7 +411,7 @@ let infer_cached ~shape (cache : tycache) e : tycache * string option Lazy.t =
           | _ -> (
               (* A memoised whole-term rendering skips even the group
                  extension; only a first encounter pays it. *)
-              match EM.find_opt e !render_memo with
+              match EM.find_opt e !render_memo.renders with
               | Some r -> (None, Lazy.from_val r)
               | None -> (
                   match

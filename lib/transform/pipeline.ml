@@ -268,12 +268,16 @@ let optimize ?(lint = true) ?break_pass ?trace mode e =
   in
   let blocked = ref 0 in
   let lint_checks = ref 0 and lint_time = ref 0. in
+  (* Lint time in seconds, read off the monotonic clock. *)
+  let timed f =
+    let t0 = Monotonic_clock.now () in
+    let r = f () in
+    let dt = Int64.sub (Monotonic_clock.now ()) t0 in
+    lint_time := !lint_time +. (Int64.to_float dt *. 1e-9);
+    r
+  in
   let st = ref None in
-  if lint then begin
-    let t0 = Unix.gettimeofday () in
-    st := Some (Lint.snapshot e);
-    lint_time := !lint_time +. Unix.gettimeofday () -. t0
-  end;
+  if lint then st := Some (timed (fun () -> Lint.snapshot e));
   (* A pass that returned its input unchanged has nothing to check —
      that term is the one the previous check already blessed. Skipping
      the no-ops is what keeps the linter's share of pipeline time small
@@ -284,9 +288,7 @@ let optimize ?(lint = true) ?break_pass ?trace mode e =
       (match !st with
       | None -> ()
       | Some prev ->
-          let t0 = Unix.gettimeofday () in
-          let next = Lint.check_pass ?trace ~pass ~prev e' in
-          lint_time := !lint_time +. Unix.gettimeofday () -. t0;
+          let next = timed (fun () -> Lint.check_pass ?trace ~pass ~prev e') in
           incr lint_checks;
           st := Some next);
       e'

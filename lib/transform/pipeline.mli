@@ -30,7 +30,8 @@ type report = {
       (** Post-pass lint runs (0 when linting is off). A pass returning
           its input unchanged is not re-checked — that term was blessed
           by the previous check. *)
-  lint_time : float;  (** Wall-clock seconds spent in the linter. *)
+  lint_time : float;
+      (** Elapsed seconds spent in the linter (monotonic clock). *)
 }
 
 val pp_report : report Fmt.t

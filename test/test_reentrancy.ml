@@ -28,6 +28,28 @@ let run_sliced ?(pauses = 0) ?(slice = 500) ?(between = fun () -> ()) src =
   in
   go pauses
 
+(* The spec array of a wrapped program's Prelude letrec. *)
+let prelude_specs = function
+  | Resolve.RLetrec (specs, _) -> specs
+  | _ -> Alcotest.fail "a wrapped program resolves to a letrec"
+
+(* The full resolution of a wrapped program: a copy of the bindings
+   list is not physically [Prelude.defs], so no context's held Prelude
+   applies. *)
+let resolve_full = function
+  | Syntax.Letrec (defs, body) ->
+      Resolve.expr (Syntax.Letrec (List.map Fun.id defs, body))
+  | _ -> Alcotest.fail "not a wrapped program"
+
+let corpus_dir =
+  lazy
+    (match
+       List.find_opt Sys.file_exists
+         [ "../fuzz/corpus"; "fuzz/corpus"; "../../fuzz/corpus" ]
+     with
+    | Some d -> d
+    | None -> Alcotest.fail "fuzz/corpus not found")
+
 let suite =
   [
     tc "two interleaved paused machines match their solo baselines"
@@ -108,7 +130,63 @@ let suite =
             "1/0 + error \"Urk\"";
             "case unsafeGetException (head Nil) of { OK v -> v; Bad e -> 0 }";
             "let rec go n = if n > 0 then go (n - 1) else 0 in go 3";
-          ]);
+          ];
+        (* A context resolves the Prelude once: different wrapped
+           programs share its spec array, and each is still exactly the
+           IR of a full resolution, in a fresh context and from a copy
+           of the bindings list. *)
+        let p1 = parse "sum (enumFromTo 1 10)" in
+        let p2 = parse "length (Cons 1 (Cons 2 Nil))" in
+        let r1 = Resolve.expr p1 and r2 = Resolve.expr p2 in
+        Alcotest.(check bool) "two programs share one Prelude spec array"
+          true
+          (prelude_specs r1 == prelude_specs r2);
+        Alcotest.(check bool) "a copied bindings list takes the full path"
+          true
+          (prelude_specs (resolve_full p1) != prelude_specs r1);
+        List.iter
+          (fun (e, r) ->
+            Alcotest.(check bool) "equals a fresh context's resolution" true
+              (r = Resolve.expr ~ctx:(Resolve.new_context ()) e);
+            Alcotest.(check bool) "equals a full resolution" true
+              (r = resolve_full e))
+          [ (p1, r1); (p2, r2) ];
+        (* The body's raise sites number on from the Prelude's. *)
+        let body_raise = function
+          | Resolve.RLetrec (_, Resolve.RRaise (label, _)) -> label
+          | _ -> Alcotest.fail "expected a raise at the body's root"
+        in
+        let e = parse "raise (UserError \"body\")" in
+        Alcotest.(check string) "a body raise has the same label both ways"
+          (body_raise (resolve_full e))
+          (body_raise (Resolve.expr e)));
+    tc "held Prelude resolves every corpus entry and example program \
+        like the full path" (fun () ->
+        let entries, _ = Corpus.load_dir (Lazy.force corpus_dir) in
+        let dir = Lazy.force Test_programs.program_dir in
+        let programs =
+          List.map
+            (fun e -> (e.Corpus.name, Prelude.wrap e.Corpus.expr))
+            entries
+          @ List.map
+              (fun f -> (f, parse_program (Test_programs.load f)))
+              (List.sort compare (Array.to_list (Sys.readdir dir)))
+        in
+        Alcotest.(check bool) "corpus and programs found" true
+          (List.length programs >= 30);
+        List.iter
+          (fun (name, e) ->
+            Alcotest.(check bool) name true
+              (Resolve.expr e = resolve_full e))
+          programs);
+    tc "a new context holds its own Prelude" (fun () ->
+        let e = parse "sum (enumFromTo 1 10)" in
+        let ctx = Resolve.new_context () in
+        let own = prelude_specs (Resolve.expr ~ctx e) in
+        Alcotest.(check bool) "not the global context's spec array" true
+          (own != prelude_specs (Resolve.expr e));
+        Alcotest.(check bool) "shared within the new context" true
+          (own == prelude_specs (Resolve.expr ~ctx (parse "length Nil"))));
     tc "machines on distinct contexts evaluate independently" (fun () ->
         (* A machine carries its resolution context: two machines on two
            fresh contexts, each using constructors the other also
