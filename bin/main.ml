@@ -324,7 +324,7 @@ let trace_cmd =
         (match r with
         | Ok _ -> Fmt.pr "-- value: %a@." Value.pp_deep (Machine.deep m a)
         | Error (Machine.Fail_exn x) | Error (Machine.Fail_async x) ->
-            Fmt.pr "-- caught: %a@." (Machine.pp_exn_with_origin m) x;
+            Fmt.pr "-- caught: %a@." (Runtime.pp_exn_with_origin m) x;
             Fmt.pr "-- denotational set: %a@."
               (Exn_set.pp_annotated Value.pp_exn_with_origin)
               dset
@@ -721,7 +721,8 @@ let smoke_serve engine =
         Printf.sprintf "ok %s %s" id
           (flat (Fmt.str "%a" Value.pp_deep (Machine.deep m a)))
     | Error (Machine.Fail_exn x) | Error (Machine.Fail_async x) ->
-        Printf.sprintf "err %s exn %s" id (flat (Fmt.str "%a" Exn.pp x))
+        Printf.sprintf "err %s exn class=%s %s" id (Exn.class_name x)
+          (flat (Fmt.str "%a" Exn.pp x))
     | Error Machine.Fail_diverged ->
         Printf.sprintf "err %s quota:fuel" id
   in

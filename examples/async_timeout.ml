@@ -20,7 +20,7 @@ let () =
      retry. The machine is shared, so the pause cells survive between the
      two catches. *)
   let m = Machine.create () in
-  Machine.inject_async m ~at_step:4_000 Exn.Timeout;
+  Runtime.inject_async m ~at_step:4_000 Exn.Timeout;
   let addr = Machine.alloc m (parse work_src) in
 
   (match Machine.force_catch m addr with
@@ -29,16 +29,16 @@ let () =
         (Machine.stats m).Stats.steps
         (Machine.stats m).Stats.thunks_paused
   | Ok _ -> Fmt.pr "not interrupted (raise at_step)@."
-  | Error f -> Fmt.pr "unexpected: %a@." Machine.pp_failure f);
+  | Error f -> Fmt.pr "unexpected: %a@." Runtime.pp_failure f);
 
   let steps_before_retry = (Machine.stats m).Stats.steps in
   (match Machine.force_catch m addr with
-  | Ok (Machine.MInt n) ->
+  | Ok (Runtime.MInt n) ->
       let retry_steps = (Machine.stats m).Stats.steps - steps_before_retry in
       Fmt.pr "retried:       %d in %d further steps (vs %d from scratch)@."
         n retry_steps base_stats.Stats.steps
   | Ok _ -> Fmt.pr "unexpected value@."
-  | Error f -> Fmt.pr "retry failed: %a@." Machine.pp_failure f);
+  | Error f -> Fmt.pr "retry failed: %a@." Runtime.pp_failure f);
 
   (* The same flow as one IO program on the machine driver: the first
      getException gets Bad Timeout, the second completes. *)
@@ -64,10 +64,10 @@ let () =
      contract). *)
   Fmt.pr "@.no catch, no delivery:@.";
   let m2 = Machine.create () in
-  Machine.inject_async m2 ~at_step:0 Exn.Interrupt;
+  Runtime.inject_async m2 ~at_step:0 Exn.Interrupt;
   let a2 = Machine.alloc m2 (parse "sum (enumFromTo 1 100)") in
   (match Machine.force m2 a2 with
-  | Ok (Machine.MInt n) -> Fmt.pr "completed: %d (event still pending)@." n
+  | Ok (Runtime.MInt n) -> Fmt.pr "completed: %d (event still pending)@." n
   | _ -> Fmt.pr "unexpected@.");
 
   (* Keyboard interrupt semantics at the operational layer: the semantic

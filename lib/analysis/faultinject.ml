@@ -840,6 +840,8 @@ let baseline tpl =
 let gen_fault ~seed tpl =
   let o = Oracle.create ~seed:((seed * 7919) + 17) in
   let exns = [| Exn.Interrupt; Exn.Timeout; Exn.Heap_exhaustion |] in
+  (* Drawn unsorted: both layers deliver a schedule in list order, so an
+     event behind a later-stepped one waits for it. *)
   let n_async = Oracle.int_below o 4 in
   let async =
     List.init n_async (fun _ ->

@@ -21,6 +21,9 @@
       to a contiguous instruction array with superinstructions and
       per-case-site inline caches; same machine contract, multi-x
       faster.
+    - {!Runtime}: what the two machines share outside their dispatch
+      loops — heap cells and values, latches, the async queue,
+      exception readback, deep-forcing and the collector.
     - {!Fixed}, {!Exval}: the rejected baseline designs (Sections 2, 3.4).
     - {!Strictness}, {!Effects}: the analyses.
     - {!Rules}, {!Refine}, {!Laws}, {!Pipeline}: the transformation
@@ -66,6 +69,7 @@ module Machine_conc = Machine.Machine_conc
 module Machine_io = Machine_conc
 module Stats = Machine.Stats
 module Bytecode = Machine.Bytecode
+module Runtime = Machine.Runtime
 module Machine = Machine.Stg
 module Strictness = Analysis.Strictness
 module Effects = Analysis.Exn_analysis

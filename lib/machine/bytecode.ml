@@ -25,27 +25,17 @@
    sound across machines, because a site's tag-to-branch mapping is a
    pure function of the static table.
 
-   The exception machinery is transition-for-transition the slot
-   machine's: synchronous unwinding poisons update frames (Section 3.3),
-   asynchronous unwinding leaves resumable pause cells (Section 5.1),
-   resource latches raise catchable overflows through the same
-   trim-the-stack path, and provenance/flight-recorder events fire on
-   every exceptional transition. *)
+   The exception machinery is the {!Runtime} this shares with the slot
+   machine; this module keeps its compiler, frames, packed slot lookup
+   and dispatch loop. *)
 
 open Lang.Syntax
+open Runtime
 module Exn = Lang.Exn
 module R = Lang.Resolve
 
 type addr = int
-
-type mvalue =
-  | MInt of int
-  | MChar of char
-  | MString of string
-  | MCon of int * addr array
-  | MClo of int * addr array
-
-and env = Env_nil | Env_frame of addr array * env
+type mvalue = int Runtime.mvalue
 
 (* ------------------------------------------------------------------ *)
 (* The compiled program                                                *)
@@ -323,19 +313,10 @@ let compile_expr ?ctx e = compile (R.expr ?ctx e)
 (* The machine                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type cell =
-  | Cell_thunk of int * env  (* body pc + captured environment *)
-  | Cell_value of mvalue
-  | Cell_blackhole
-  | Cell_raise of Exn.t * Obs.origin
-  | Cell_paused of bcode * bframe list
-  | Cell_unused
-
-(* A suspended position: the three register modes, reified only when a
-   pause cell must capture the continuation. *)
-and bcode = B_exec of int * env | B_enter of addr | B_ret of mvalue
-
-and bframe =
+(* A thunk's body and a position's [C_eval] are code-array pcs; a
+   position is reified as a [Runtime.code] only when a pause cell must
+   capture the continuation. *)
+type bframe =
   | BF_update of addr
   | BF_apply of addr
   | BF_case of int * env  (* case-site index *)
@@ -348,69 +329,10 @@ and bframe =
   | BF_isexn
   | BF_catch
 
-type config = Stg.config
+type t = (int, int, bframe, program) Runtime.t
 
-let default_config = Stg.default_config
-
-type failure = Stg.failure =
-  | Fail_exn of Exn.t
-  | Fail_async of Exn.t
-  | Fail_diverged
-
-let pp_failure = Stg.pp_failure
-
-type to_exn_error = Not_exn | Exn_err of Exn.t
-
-type t = {
-  prog : program;
-  mutable heap : cell Growarray.t;
-  stats : Stats.t;
-  cfg : config;
-  rctx : R.context;
-  mutable fuel_left : int;
-  mutable async : (int * Exn.t) list;
-  mutable heap_check_armed : bool;
-  trace : Obs.t;
-  prov : Obs.provenance;
-}
-
-let create ?(config = default_config) ?(trace = Obs.create ())
-    ?(rctx = R.global_context) prog =
-  {
-    prog;
-    heap = Growarray.create ~dummy:Cell_unused ();
-    stats = Stats.create ();
-    cfg = config;
-    rctx;
-    fuel_left = config.Stg.fuel;
-    async = [];
-    heap_check_armed = true;
-    trace;
-    prov = Obs.new_provenance ();
-  }
-
-let stats m = m.stats
-let heap_size m = Growarray.length m.heap
-let trace m = m.trace
-let origin_of m e = Obs.find_origin m.prov e
-let pp_exn_with_origin m = Obs.pp_exn_with m.prov
-
-let invariant_failure (m : t) (msg : string) : 'a =
-  let extra =
-    [
-      ("stats", Fmt.str "%a" Stats.pp m.stats);
-      ("heap", Printf.sprintf "%d cells" (Growarray.length m.heap));
-    ]
-  in
-  raise
-    (Obs.Machine_invariant
-       (Obs.dump ~note:("machine invariant violated: " ^ msg) ~extra m.trace))
-
-let refuel m = m.fuel_left <- m.cfg.Stg.fuel
-
-exception Machine_stuck of failure
-
-exception Prim_type_error of string
+let create = Runtime.create
+let stats = Runtime.stats
 
 (* The environment walk off a packed slot word — the bytecode
    counterpart of {!Stg.lookup}. *)
@@ -424,12 +346,6 @@ let lookup (env : env) (w : int) : addr =
           (Machine_stuck (Fail_exn (Exn.Type_error "corrupt environment")))
   in
   go env (w lsr 16)
-
-let alloc_cell m cell =
-  m.stats.Stats.allocations <- m.stats.Stats.allocations + 1;
-  Growarray.push m.heap cell
-
-let alloc_value m v = alloc_cell m (Cell_value v)
 
 (* Resolve every packed slot in [caps] — a counted loop rather than
    [Array.map (lookup env)], which would allocate a closure per call
@@ -449,7 +365,7 @@ let capture env (caps : int array) : env =
   if Array.length caps = 0 then Env_nil
   else Env_frame (lookup_all env caps, Env_nil)
 
-let alloc_tspec m env (ti : int) : addr =
+let alloc_tspec (m : t) env (ti : int) : addr =
   let sp = m.prog.tspecs.(ti) in
   alloc_cell m (Cell_thunk (sp.t_pc, capture env sp.t_caps))
 
@@ -458,20 +374,8 @@ let alloc_tspec m env (ti : int) : addr =
 let arg_addr m env (w : int) : addr =
   if w < 0 then lookup env (-w - 1) else alloc_tspec m env w
 
-let alloc_app m f x =
-  alloc_cell m (Cell_thunk (m.prog.app_pc, Env_frame ([| f; x |], Env_nil)))
-
-let entry m = alloc_cell m (Cell_thunk (m.prog.entry, Env_nil))
-
-let inject_async m ~at_step e = m.async <- m.async @ [ (at_step, e) ]
-let clear_async m = m.async <- []
-
-let exn_to_mvalue m (e : Exn.t) : mvalue =
-  let tag = R.con_tag ~ctx:m.rctx (Exn.constructor_name e) in
-  match Exn.payload e with
-  | Some (Exn.P_string s) -> MCon (tag, [| alloc_value m (MString s) |])
-  | Some (Exn.P_int n) -> MCon (tag, [| alloc_value m (MInt n) |])
-  | None -> MCon (tag, [||])
+let entry (m : t) = alloc_cell m (Cell_thunk (m.prog.entry, Env_nil))
+let update = function BF_update a -> Some a | _ -> None
 
 (* The per-transition preamble's verdict: proceed, a resource latch
    tripped, or an asynchronous exception is due. [Go] is the constant
@@ -489,8 +393,8 @@ type guard = Go | Trip of string * Exn.t | Async of Exn.t
    backends hit their latches and deliver asynchronous exceptions under
    identical rules. [catch] marks the bottom of this run's stack as a
    getException catch mark, exactly as in the slot machine. *)
-let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
-    =
+let rec run (m : t) ~(catch : bool) (code0 : (int, int) code) :
+    (mvalue, failure) result =
   let prog = m.prog in
   let codea = prog.code in
   let stats = m.stats in
@@ -500,13 +404,15 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
      preamble: an absent limit becomes [max_int], so the per-step check
      is one integer compare instead of an option match. *)
   let stack_lim =
-    match m.cfg.Stg.stack_limit with Some l -> l | None -> max_int
+    match m.cfg.stack_limit with Some l -> l | None -> max_int
   in
   let heap_lim =
-    match m.cfg.Stg.heap_limit with Some l -> l | None -> max_int
+    match m.cfg.heap_limit with Some l -> l | None -> max_int
   in
-  let arith_bound = 1 lsl (m.cfg.Stg.int_bits - 1) in
-  let poison = m.cfg.Stg.poison_thunks in
+  let arith_bound = 1 lsl (m.cfg.int_bits - 1) in
+  (* Asynchronous events reach only an unmasked catch mark; the mask
+     depth is set between runs, so the condition is fixed per run. *)
+  let poll = catch && m.mask_depth = 0 in
   let push f =
     stack := f :: !stack;
     incr depth;
@@ -514,14 +420,7 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
   in
   let type_error msg = raise (Prim_type_error msg) in
 
-  let note_raise label exn =
-    let o = Obs.origin ~label ~depth:!depth ~step:stats.Stats.steps in
-    Obs.set_origin m.prov exn o;
-    if Obs.on m.trace then Obs.record m.trace (Obs.Ev_raise (exn, o));
-    o
-  in
-
-  let mbool b = MCon ((if b then R.t_true else R.t_false), [||]) in
+  let note_raise label exn = note_raise m ~depth:!depth label exn in
 
   (* The preamble, shared by all three transition functions: count the
      step, burn fuel, check the latches, poll for an asynchronous
@@ -543,7 +442,7 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
       stats.Stats.heap_overflows <- stats.Stats.heap_overflows + 1;
       Trip ("heap-limit", Exn.Heap_overflow)
     end
-    else if catch then
+    else if poll then
       match m.async with
       | (k, x) :: rest when stats.Stats.steps >= k ->
           m.async <- rest;
@@ -564,32 +463,14 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
         stats.Stats.frames_trimmed <- stats.Stats.frames_trimmed + 1;
         match f with
         | BF_update a ->
-            if poison then begin
-              Growarray.fast_set m.heap a (Cell_raise (exn, o));
-              stats.Stats.thunks_poisoned <- stats.Stats.thunks_poisoned + 1;
-              if Obs.on m.trace then
-                Obs.record m.trace (Obs.Ev_poison (a, exn))
-            end;
+            poison m a exn o;
             unwind_sync o exn
         | BF_isexn -> ret (MCon (R.t_true, [||]))
         | BF_catch ->
             ret (MCon (R.t_bad, [| alloc_value m (exn_to_mvalue m exn) |]))
-        | BF_mapexn f_addr -> (
-            let e_addr = alloc_value m (exn_to_mvalue m exn) in
-            let a = alloc_app m f_addr e_addr in
-            match run m ~catch:false (B_enter a) with
-            | Ok v -> (
-                match mvalue_to_exn m v with
-                | Ok exn' -> unwind_sync (note_raise "mapException" exn') exn'
-                | Error Not_exn ->
-                    let exn' = Exn.Type_error "raise: not an exception" in
-                    unwind_sync (note_raise "mapException" exn') exn'
-                | Error (Exn_err exn') ->
-                    unwind_sync (note_raise "mapException" exn') exn')
-            | Error (Fail_exn exn') ->
-                unwind_sync (note_raise "mapException" exn') exn'
-            | Error (Fail_async _ | Fail_diverged) ->
-                raise (Machine_stuck Fail_diverged))
+        | BF_mapexn f_addr ->
+            let exn' = map_exn run m ~app:prog.app_pc f_addr exn in
+            unwind_sync (note_raise "mapException" exn') exn'
         | BF_apply _ | BF_case _ | BF_prim _ | BF_raise _ ->
             unwind_sync o exn)
 
@@ -597,62 +478,12 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
     unwind_sync (note_raise label exn) exn
 
   and reraise o exn : mvalue =
-    Obs.set_origin m.prov exn o;
-    if Obs.on m.trace then Obs.record m.trace (Obs.Ev_rethrow (exn, o));
+    note_reraise m o exn;
     unwind_sync o exn
-
-  (* Asynchronous unwinding (Section 5.1): every update frame on the way
-     down pauses its thunk with the stack segment above it, so the
-     abandoned work resumes exactly where it stopped. [cur] is the
-     interrupted transition, allocated only on this (rare) path. *)
-  and unwind_async (cur : bcode) (exn : Exn.t) : mvalue =
-    stats.Stats.async_delivered <- stats.Stats.async_delivered + 1;
-    ignore (note_raise "async" exn);
-    if Obs.on m.trace then Obs.record m.trace (Obs.Ev_async exn);
-    let rec go cur buf st =
-      match st with
-      | [] ->
-          stack := [];
-          depth := 0;
-          raise (Machine_stuck (Fail_async exn))
-      | BF_update a :: rest ->
-          Growarray.fast_set m.heap a (Cell_paused (cur, List.rev buf));
-          stats.Stats.thunks_paused <- stats.Stats.thunks_paused + 1;
-          if Obs.on m.trace then Obs.record m.trace (Obs.Ev_pause a);
-          go (B_enter a) [] rest
-      | f :: rest -> go cur (f :: buf) rest
-    in
-    go cur [] !stack
 
   and arith (n : int) : mvalue =
     if n >= -arith_bound && n < arith_bound then ret_fused (MInt n)
     else raise_to ~label:"arith-overflow" Exn.Overflow
-
-  (* Comparison over the comparable value shapes; nullary constructors
-     compare by interned name, as in the slot machine. *)
-  and compare2 (p : Lang.Prim.t) (a : mvalue) (b : mvalue) : mvalue =
-    let c =
-      match (a, b) with
-      | MInt x, MInt y -> Int.compare x y
-      | MChar x, MChar y -> Char.compare x y
-      | MString x, MString y -> String.compare x y
-      | MCon (x, [||]), MCon (y, [||]) ->
-          String.compare
-            (R.con_name ~ctx:m.rctx x)
-            (R.con_name ~ctx:m.rctx y)
-      | _ -> type_error (Lang.Prim.name p ^ ": uncomparable values")
-    in
-    let module P = Lang.Prim in
-    ret_fused
-      (mbool
-         (match p with
-         | P.Eq -> c = 0
-         | P.Ne -> c <> 0
-         | P.Lt -> c < 0
-         | P.Le -> c <= 0
-         | P.Gt -> c > 0
-         | P.Ge -> c >= 0
-         | _ -> c = 0))
 
   and apply_prim (p : Lang.Prim.t) (vs : mvalue array) : mvalue =
     let module P = Lang.Prim in
@@ -668,7 +499,8 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
     | (P.Add | P.Sub | P.Mul | P.Div | P.Mod), _ ->
         type_error (P.name p ^ ": expected integers")
     | P.Neg, _ -> type_error "negate: expected an integer"
-    | (P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge), [| a; b |] -> compare2 p a b
+    | (P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge), [| a; b |] ->
+        ret_fused (compare_prim m p a b)
     | (P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge), _ ->
         type_error (P.name p ^ ": uncomparable values")
     | P.Seq, [| _; v2 |] -> ret_fused v2
@@ -726,7 +558,8 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
   and exec (p : int) (env : env) : mvalue =
     match check () with
     | Trip (label, exn) -> raise_to ~label exn
-    | Async x -> unwind_async (B_exec (p, env)) x
+    | Async x ->
+        unwind_async m ~depth:!depth ~update (C_eval (p, env)) !stack x
     | Go -> (
         match Array.unsafe_get codea p with
             | 0 (* enter *) -> enter (lookup env codea.(p + 1))
@@ -813,7 +646,8 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
   and enter (a : addr) : mvalue =
     match check () with
     | Trip (label, exn) -> raise_to ~label exn
-    | Async x -> unwind_async (B_enter a) x
+    | Async x ->
+        unwind_async m ~depth:!depth ~update (C_enter a) !stack x
     | Go -> (
         match Growarray.fast_get m.heap a with
             | Cell_value v -> ret_fused v
@@ -822,7 +656,7 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
                 push (BF_update a);
                 exec tpc tenv
             | Cell_blackhole ->
-                if m.cfg.Stg.blackhole_nontermination then
+                if m.cfg.blackhole_nontermination then
                   raise_to ~label:"blackhole" Exn.Non_termination
                 else raise (Machine_stuck Fail_diverged)
             | Cell_raise (exn, o) -> reraise o exn
@@ -848,7 +682,8 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
     | f :: rest -> (
         match check () with
         | Trip (label, exn) -> raise_to ~label exn
-        | Async x -> unwind_async (B_ret v) x
+        | Async x ->
+            unwind_async m ~depth:!depth ~update (C_ret v) !stack x
         | Go -> pop_ret f rest v)
 
   and ret_fused (v : mvalue) : mvalue =
@@ -879,23 +714,17 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
           push (BF_prim (si, vals, i + 1, penv));
           exec ps.ps_args.(i) penv
         end
-    | BF_raise li -> (
-        let label = prog.strs.(li) in
-        match mvalue_to_exn m v with
-        | Ok exn -> raise_to ~label exn
-        | Error Not_exn ->
-            raise_to ~label (Exn.Type_error "raise: not an exception")
-        | Error (Exn_err e) -> raise_to ~label e)
+    | BF_raise li -> raise_to ~label:prog.strs.(li) (raised_exn run m v)
     | BF_mapexn _ ->
         (* Normal value: mapException is the identity. *)
         ret v
-    | BF_isexn -> ret (mbool false)
+    | BF_isexn -> ret (MCon (R.t_false, [||]))
     | BF_catch -> ret (MCon (R.t_ok, [| alloc_value m v |]))
 
-  and goto : bcode -> mvalue = function
-    | B_exec (p, e) -> exec p e
-    | B_enter a -> enter a
-    | B_ret v -> ret v
+  and goto : (int, int) code -> mvalue = function
+    | C_eval (p, e) -> exec p e
+    | C_enter a -> enter a
+    | C_ret v -> ret v
   in
   (* A prim type error unwinds like an ordinary raise from the point of
      the error — the machine stack is intact when the OCaml exception
@@ -915,143 +744,24 @@ let rec run (m : t) ~(catch : bool) (code0 : bcode) : (mvalue, failure) result
       try Ok (protect (fun () -> goto code0))
       with Machine_stuck failure -> Error failure)
 
-and mvalue_to_exn (m : t) (v : mvalue) : (Exn.t, to_exn_error) result =
-  match v with
-  | MCon (tag, args) -> (
-      let payload =
-        match args with
-        | [||] -> Ok None
-        | [| a |] -> (
-            match run m ~catch:false (B_enter a) with
-            | Ok (MString s) -> Ok (Some (Exn.P_string s))
-            | Ok (MInt n) -> Ok (Some (Exn.P_int n))
-            | Ok _ ->
-                Error (Exn.Type_error "exception payload is not a string")
-            | Error (Fail_exn e) | Error (Fail_async e) -> Error e
-            | Error Fail_diverged ->
-                Error (Exn.Type_error "exception payload failed to evaluate"))
-        | _ -> Error (Exn.Type_error "exception constructor arity")
-      in
-      match payload with
-      | Error e -> Error (Exn_err e)
-      | Ok p -> (
-          let name = R.con_name ~ctx:m.rctx tag in
-          match Exn.of_constructor_p name p with
-          | Some e -> Ok e
-          | None ->
-              Error
-                (Exn_err
-                   (Exn.Type_error
-                      (name ^ " is not an exception constructor")))))
-  | MInt _ | MChar _ | MString _ | MClo _ -> Error Not_exn
-
-let force m a = run m ~catch:false (B_enter a)
-
-let force_catch m a =
-  m.stats.Stats.catches <- m.stats.Stats.catches + 1;
-  let r = run m ~catch:true (B_enter a) in
-  (if Obs.on m.trace then
-     match r with
-     | Error (Fail_exn e) | Error (Fail_async e) ->
-         Obs.record m.trace (Obs.Ev_catch (Some e))
-     | Ok _ | Error Fail_diverged -> Obs.record m.trace (Obs.Ev_catch None));
-  r
-
-module SV = Semantics.Sem_value
-
-let rec deep ?(depth = 64) m a : SV.deep =
-  if depth <= 0 then SV.DCut
-  else
-    match force m a with
-    | Error (Fail_exn e) -> SV.DBad (Semantics.Exn_set.singleton e)
-    | Error (Fail_async e) -> SV.DBad (Semantics.Exn_set.singleton e)
-    | Error Fail_diverged -> SV.DBad Semantics.Exn_set.bottom
-    | Ok v -> (
-        match v with
-        | MInt n -> SV.DInt n
-        | MChar c -> SV.DChar c
-        | MString s -> SV.DString s
-        | MClo _ -> SV.DFun
-        | MCon (tag, addrs) ->
-            SV.DCon
-              ( R.con_name ~ctx:m.rctx tag,
-                List.map
-                  (fun a' -> deep ~depth:(depth - 1) m a')
-                  (Array.to_list addrs) ))
-
-let run_expr ?config e =
-  let m = create ?config (compile_expr e) in
-  let a = entry m in
-  let r = force m a in
-  (r, m.stats)
+let force = Runtime.force run
+let force_catch = Runtime.force_catch run
+let deep = Runtime.deep run
 
 let run_deep ?config ?depth e =
   let m = create ?config (compile_expr e) in
-  let a = entry m in
-  let d = deep ?depth m a in
+  let d = deep ?depth m (entry m) in
   (d, m.stats)
 
-(* ------------------------------------------------------------------ *)
-(* Garbage collection: the same semi-space copying collector as the    *)
-(* slot machine, over bytecode cells. Code positions are ints into the *)
-(* shared program, so only addresses move.                             *)
-(* ------------------------------------------------------------------ *)
+(* Code positions are ints into the shared program, so only addresses
+   move. *)
+let copy_frame copy = function
+  | BF_update a -> BF_update (copy a)
+  | BF_apply a -> BF_apply (copy a)
+  | BF_case (ci, env) -> BF_case (ci, copy_env copy env)
+  | BF_prim (si, vals, i, env) ->
+      BF_prim (si, Array.map (copy_value copy) vals, i, copy_env copy env)
+  | BF_mapexn a -> BF_mapexn (copy a)
+  | (BF_raise _ | BF_isexn | BF_catch) as f -> f
 
-let gc (m : t) ~(roots : addr list) : addr list =
-  let old_heap = m.heap in
-  let old_len = Growarray.length old_heap in
-  let new_heap =
-    Growarray.create ~capacity:(max 16 old_len) ~dummy:Cell_unused ()
-  in
-  let forward = Array.make (max 1 old_len) (-1) in
-  let rec copy (a : addr) : addr =
-    if a < 0 || a >= old_len then a
-    else if forward.(a) >= 0 then forward.(a)
-    else begin
-      let a' = Growarray.push new_heap (Growarray.get old_heap a) in
-      forward.(a) <- a';
-      Growarray.set new_heap a' (copy_cell (Growarray.get old_heap a));
-      a'
-    end
-  and copy_env = function
-    | Env_nil -> Env_nil
-    | Env_frame (arr, up) -> Env_frame (Array.map copy arr, copy_env up)
-  and copy_value = function
-    | (MInt _ | MChar _ | MString _) as v -> v
-    | MCon (tag, addrs) -> MCon (tag, Array.map copy addrs)
-    | MClo (li, caps) -> MClo (li, Array.map copy caps)
-  and copy_code = function
-    | B_exec (p, env) -> B_exec (p, copy_env env)
-    | B_enter a -> B_enter (copy a)
-    | B_ret v -> B_ret (copy_value v)
-  and copy_frame = function
-    | BF_update a -> BF_update (copy a)
-    | BF_apply a -> BF_apply (copy a)
-    | BF_case (ci, env) -> BF_case (ci, copy_env env)
-    | BF_prim (si, vals, i, env) ->
-        BF_prim (si, Array.map copy_value vals, i, copy_env env)
-    | BF_raise _ as f -> f
-    | BF_mapexn a -> BF_mapexn (copy a)
-    | BF_isexn -> BF_isexn
-    | BF_catch -> BF_catch
-  and copy_cell = function
-    | Cell_thunk (p, env) -> Cell_thunk (p, copy_env env)
-    | Cell_value v -> Cell_value (copy_value v)
-    | Cell_blackhole -> Cell_blackhole
-    | Cell_raise _ as c -> c
-    | Cell_paused (code, frames) ->
-        Cell_paused (copy_code code, List.map copy_frame frames)
-    | Cell_unused -> Cell_unused
-  in
-  let roots' = List.map copy roots in
-  m.heap <- new_heap;
-  m.stats.Stats.collections <- m.stats.Stats.collections + 1;
-  m.stats.Stats.live_copied <-
-    m.stats.Stats.live_copied + Growarray.length new_heap;
-  if Obs.on m.trace then
-    Obs.record m.trace (Obs.Ev_gc (old_len, Growarray.length new_heap));
-  (match m.cfg.Stg.heap_limit with
-  | Some lim when Growarray.length new_heap < lim ->
-      m.heap_check_armed <- true
-  | _ -> ());
-  roots'
+let gc = Runtime.gc copy_frame

@@ -14,15 +14,11 @@
     ([Stats.ic_hits]/[Stats.ic_misses]; the table walk is the miss path).
 
     The machine contract is the slot machine's, transition for
-    transition: fuel/heap/stack latches delivered through the ordinary
-    trim-the-stack path (heap latch re-armed only by {!gc}), Section
-    3.3 thunk poisoning, Section 5.1 resumable pause cells under
-    asynchronous unwinding, flight-recorder events and exception
-    provenance on every exceptional path, and explicit
-    {!Lang.Resolve.context} re-entrancy. The admissibility argument is
-    the paper's own: observational equivalence is only demanded modulo
-    exception *sets* (Section 4.3), and the differential fuzzer
-    holds this backend to the same C13 membership bound as the others. *)
+    transition, because everything outside the dispatch loop is the
+    {!Runtime} both share. The admissibility argument is the paper's own:
+    observational equivalence is only demanded modulo exception *sets*
+    (Section 4.3), and the differential fuzzer holds this backend to the
+    same C13 membership bound as the others. *)
 
 type addr = int
 
@@ -44,74 +40,36 @@ val compile_expr : ?ctx:Lang.Resolve.context -> Lang.Syntax.expr -> program
 val code_words : program -> int
 (** Length of the frozen code array, in words (static accounting). *)
 
-type mvalue =
-  | MInt of int
-  | MChar of char
-  | MString of string
-  | MCon of int * addr array
-      (** Constructor tag interned by {!Lang.Resolve.con_tag}. *)
-  | MClo of int * addr array
-      (** Closure: index into the program's template pool + captures. *)
+type mvalue = int Runtime.mvalue
+(** A closure holds an index into the program's template pool and its
+    captured addresses. *)
 
-type config = Stg.config
-(** Shared with the slot machine so embedders configure both backends
-    from one record. *)
-
-val default_config : config
-
-type failure = Stg.failure =
-  | Fail_exn of Lang.Exn.t
-  | Fail_async of Lang.Exn.t
-  | Fail_diverged
-      (** Re-exported from {!Stg} so drivers dispatch both backends
-          through one match. *)
-
-val pp_failure : failure Fmt.t
-
-type t
-(** A machine instance: heap + counters + pending asynchronous events,
-    bound to one compiled program. *)
+type bframe
+type t = (int, int, bframe, program) Runtime.t
 
 val create :
-  ?config:config ->
+  ?config:Runtime.config ->
   ?trace:Obs.t ->
   ?rctx:Lang.Resolve.context ->
   program ->
   t
+(** {!Runtime.create} for this program. *)
 
 val entry : t -> addr
 (** Allocate the program's entry point as a fresh thunk (each call is an
     independent evaluation root). *)
 
 val stats : t -> Stats.t
-val heap_size : t -> int
-val trace : t -> Obs.t
-val origin_of : t -> Lang.Exn.t -> Obs.origin option
-val pp_exn_with_origin : t -> Lang.Exn.t Fmt.t
-
-val refuel : t -> unit
-
-val inject_async : t -> at_step:int -> Lang.Exn.t -> unit
-(** Same delivery contract as {!Stg.inject_async}: fires at the first
-    dispatch at or after [at_step] while a catch mark is active. *)
-
-val clear_async : t -> unit
-
-val force : t -> addr -> (mvalue, failure) result
-val force_catch : t -> addr -> (mvalue, failure) result
+val force : t -> addr -> (mvalue, Runtime.failure) result
+val force_catch : t -> addr -> (mvalue, Runtime.failure) result
 val deep : ?depth:int -> t -> addr -> Semantics.Sem_value.deep
 
 val gc : t -> roots:addr list -> addr list
-(** Copying collection, same contract as {!Stg.gc}: call between runs;
-    pause cells and poisoned thunks survive intact; re-arms the heap
-    latch when the live heap fits under the limit again. *)
-
-val run_expr :
-  ?config:config -> Lang.Syntax.expr -> (mvalue, failure) result * Stats.t
-(** One-shot: resolve, compile, evaluate on a fresh machine. *)
+(** {!Runtime.gc} over this machine's frames. *)
 
 val run_deep :
-  ?config:config ->
+  ?config:Runtime.config ->
   ?depth:int ->
   Lang.Syntax.expr ->
   Semantics.Sem_value.deep * Stats.t
+(** One-shot: resolve, compile, force deeply on a fresh machine. *)

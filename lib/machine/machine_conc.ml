@@ -51,19 +51,19 @@ module Eval = struct
   let action m a : v Core.io =
     match Stg.force m a with
     | Error f -> Failed (failure f)
-    | Ok (Stg.MCon (c, args)) -> io_of_con c args
+    | Ok (Runtime.MCon (c, args)) -> io_of_con c args
     | Ok _ -> Not_io
 
   let read m a : (v Core.data, Core.failure) Stdlib.result =
     match Stg.force m a with
     | Error f -> Error (failure f)
-    | Ok (Stg.MInt n) -> Ok (Int n)
-    | Ok (Stg.MChar c) -> Ok (Char c)
-    | Ok (Stg.MCon (c, [| id |]))
+    | Ok (Runtime.MInt n) -> Ok (Int n)
+    | Ok (Runtime.MChar c) -> Ok (Char c)
+    | Ok (Runtime.MCon (c, [| id |]))
       when c = R.t_mvar_ref || c = R.t_chan_ref || c = R.t_thread_id -> (
         match Stg.force m id with
         | Error f -> Error (failure f)
-        | Ok (Stg.MInt n) ->
+        | Ok (Runtime.MInt n) ->
             Ok
               (if c = R.t_mvar_ref then MVarRef n
                else if c = R.t_chan_ref then ChanRef n
@@ -77,40 +77,40 @@ module Eval = struct
     | Ok v -> (
         match Stg.mvalue_to_exn m v with
         | Ok x -> Ok x
-        | Error (Stg.Exn_err x) -> Error (Core.Exn x)
-        | Error Stg.Not_exn -> Error (Core.Exn (Exn.Type_error "throwTo: not an exception")))
+        | Error (Runtime.Exn_err x) -> Error (Core.Exn x)
+        | Error Runtime.Not_exn -> Error (Core.Exn (Exn.Type_error "throwTo: not an exception")))
 
   (* The machine delivers injected events itself, mid-evaluation, to a
      catch mark whose thread is unmasked: sync the thread's mask depth
      in first. The machine records the catch events. *)
   let catch m ~mask ~clock:_ a : v Core.caught =
-    Stg.set_mask_depth m mask;
+    Runtime.set_mask_depth m mask;
     match Stg.force_catch m a with
-    | Ok (Stg.MCon (c, _)) when R.is_io_action_tag c -> Action a
+    | Ok (Runtime.MCon (c, _)) when R.is_io_action_tag c -> Action a
     | Ok _ -> Value a
     | Error (Stg.Fail_exn x) -> Caught (Exn x)
     | Error (Stg.Fail_async x) -> Async x
     | Error Stg.Fail_diverged -> Caught (Exn Exn.Non_termination)
 
   let evaluate m a =
-    match Stg.force m a with Ok v -> Ok (Stg.alloc_value m v) | Error f -> Error (failure f)
+    match Stg.force m a with Ok v -> Ok (Runtime.alloc_value m v) | Error f -> Error (failure f)
 
   let bind m k a =
     match Stg.force m k with
-    | Ok (Stg.MClo _) -> Ok (Stg.alloc_app m k a)
+    | Ok (Runtime.MClo _) -> Ok (Stg.alloc_app m k a)
     | Ok _ -> Error (Core.Ill ">>=: continuation is not a function")
     | Error f -> Error (failure f)
 
   let apply = Stg.alloc_app
-  let con m c args = Stg.alloc_value m (Stg.MCon (c, args))
-  let ref_ m c n = con m c [| Stg.alloc_value m (Stg.MInt n) |]
+  let con m c args = Runtime.alloc_value m (Runtime.MCon (c, args))
+  let ref_ m c n = con m c [| Runtime.alloc_value m (Runtime.MInt n) |]
 
   let make m : v Core.data -> v = function
     | Unit -> con m R.t_unit [||]
-    | Int n -> Stg.alloc_value m (Stg.MInt n)
-    | Char c -> Stg.alloc_value m (Stg.MChar c)
+    | Int n -> Runtime.alloc_value m (Runtime.MInt n)
+    | Char c -> Runtime.alloc_value m (Runtime.MChar c)
     | OK a -> con m R.t_ok [| a |]
-    | Bad x -> con m R.t_bad [| Stg.alloc_value m (Stg.exn_to_mvalue m x) |]
+    | Bad x -> con m R.t_bad [| Runtime.alloc_value m (Runtime.exn_to_mvalue m x) |]
     | Just a -> con m R.t_just [| a |]
     | Nothing -> con m R.t_nothing [||]
     | MVarRef n -> ref_ m R.t_mvar_ref n
@@ -122,7 +122,7 @@ module Eval = struct
 
   (* The step budget is refuelled at every transition, so one divergent
      transition does not starve the rest of the program. *)
-  let refill = Stg.refuel
+  let refill = Runtime.refuel
   let deep m a = Stg.deep m a
   let gc m roots = Stg.gc m ~roots
 end
@@ -133,10 +133,10 @@ let run ?config ?trace ?(input = "") ?(async = []) ?(kills = [])
     ?(check_invariants = Core.debug_default ()) ?(max_transitions = 100_000) ?gc_every
     (e : Lang.Syntax.expr) =
   let m = Stg.create ?config ?trace () in
-  List.iter (fun (k, x) -> Stg.inject_async m ~at_step:k x) async;
+  List.iter (fun (k, x) -> Runtime.inject_async m ~at_step:k x) async;
   let counters = fresh_counters () in
   let r =
-    Run.run m ~trace:(Stg.trace m) ~counters ~input ~kills ~check_invariants
+    Run.run m ~trace:(Runtime.trace m) ~counters ~input ~kills ~check_invariants
       ~max_steps:max_transitions ~gc_every (Stg.alloc m e)
   in
   {

@@ -46,9 +46,9 @@ val run :
 (** Perform a closed [IO] expression on a fresh machine. The machine's
     step budget is refuelled at every transition; [max_transitions]
     bounds the thread steps taken (default 100,000). [async] events go
-    into the machine's schedule and are delivered at the first
-    [getException] of an unmasked thread whose evaluation is running at
-    or after the given machine step. [trace] is shared with the
+    into the machine's queue and are delivered in list order, each at
+    the first [getException] of an unmasked thread running at or after
+    its machine step ({!Runtime.inject_async}). [trace] is shared with the
     underlying machine: the scheduler adds fork, bracket, mask and
     timeout events to the machine's raise/poison/async stream.
 

@@ -37,24 +37,6 @@ let create () =
     ic_misses = 0;
   }
 
-let reset t =
-  t.steps <- 0;
-  t.allocations <- 0;
-  t.updates <- 0;
-  t.max_stack <- 0;
-  t.frames_trimmed <- 0;
-  t.thunks_poisoned <- 0;
-  t.thunks_paused <- 0;
-  t.catches <- 0;
-  t.collections <- 0;
-  t.live_copied <- 0;
-  t.async_delivered <- 0;
-  t.heap_overflows <- 0;
-  t.stack_overflows <- 0;
-  t.bc_dispatches <- 0;
-  t.ic_hits <- 0;
-  t.ic_misses <- 0
-
 let add acc t =
   acc.steps <- acc.steps + t.steps;
   acc.allocations <- acc.allocations + t.allocations;

@@ -41,7 +41,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 val add : t -> t -> unit
 (** [add acc t] accumulates [t]'s counters into [acc] field-wise

@@ -5,44 +5,19 @@
    with array-backed environments. No string is compared and no
    string-keyed map is touched at runtime.
 
-   The exception machinery (poisoning, pause cells, masks, resource
-   limits) follows Sections 3.3 and 5.1. *)
+   The heap, latches, async queue, exception readback, deep-forcing and
+   collector are {!Runtime}'s; this module keeps its frames, its slot
+   lookup and its dispatch loop. *)
 
 open Lang.Syntax
+open Runtime
 module Exn = Lang.Exn
 module R = Lang.Resolve
 
 type addr = int
+type mvalue = R.lam Runtime.mvalue
 
-type mvalue =
-  | MInt of int
-  | MChar of char
-  | MString of string
-  | MCon of int * addr array  (** Interned constructor tag. *)
-  | MClo of R.lam * addr array  (** Code template + captured slots. *)
-
-(* The runtime environment: a chain of address frames mirroring the
-   static scope the resolver compiled against. Capture points (thunks,
-   closures) cut the chain to a single compact frame. *)
-and env = Env_nil | Env_frame of addr array * env
-
-type cell =
-  | Cell_thunk of R.rexpr * env
-  | Cell_value of mvalue
-  | Cell_blackhole
-  | Cell_raise of Exn.t * Obs.origin
-      (** Thunk poisoned by a synchronous unwinding (Section 3.3); the
-          origin of the raise rides along so a later re-entry still
-          reports where the exception originally came from. *)
-  | Cell_paused of code * frame list
-      (** Resumable continuation left by an asynchronous unwinding
-          (Section 5.1): code to resume and the stack segment above the
-          thunk's update frame (top first). *)
-  | Cell_unused
-
-and code = C_eval of R.rexpr * env | C_enter of addr | C_ret of mvalue
-
-and frame =
+type frame =
   | F_update of addr
   | F_apply of addr
   | F_case of R.ralt array * env
@@ -56,7 +31,9 @@ and frame =
       (** Section 6's pure [unsafeGetException]: reify the outcome as an
           ExVal right here, without the IO monad. *)
 
-type config = {
+type t = (R.rexpr, R.lam, frame, unit) Runtime.t
+
+type config = Runtime.config = {
   fuel : int;
   int_bits : int;
   blackhole_nontermination : bool;
@@ -65,106 +42,14 @@ type config = {
   stack_limit : int option;
 }
 
-let default_config =
-  {
-    fuel = 2_000_000;
-    int_bits = 32;
-    blackhole_nontermination = false;
-    poison_thunks = true;
-    heap_limit = None;
-    stack_limit = None;
-  }
-
-type t = {
-  mutable heap : cell Growarray.t;
-  stats : Stats.t;
-  cfg : config;
-  rctx : R.context;
-      (* The interning context this machine's IR was resolved against.
-         Defaults to {!R.global_context}; every piece of per-machine
-         state (heap, stats, async queue, provenance, trace) lives in
-         this record — the serve daemon's re-entrancy audit holds the
-         machine to "no hidden process state". *)
-  mutable fuel_left : int;
-  mutable async : (int * Exn.t) list;
-  mutable mask_depth : int;
-  mutable heap_check_armed : bool;
-      (* The heap limit fires once, then stays disarmed until a collection
-         brings the heap back under the limit: the raise itself cannot
-         free memory, so without the latch every subsequent step would
-         re-raise before a supervisor could recover. *)
-  trace : Obs.t;
-  prov : Obs.provenance;
-      (* Origin of the most recent raise of each exception constant;
-         maintained whether or not the recorder is on (raise paths are
-         off the per-step fast path, so this costs nothing per step). *)
-}
-
-type failure =
+type failure = Runtime.failure =
   | Fail_exn of Exn.t
   | Fail_async of Exn.t
   | Fail_diverged
 
-let pp_failure ppf = function
-  | Fail_exn e -> Fmt.pf ppf "raise %a" Exn.pp e
-  | Fail_async e -> Fmt.pf ppf "async %a" Exn.pp e
-  | Fail_diverged -> Fmt.string ppf "diverged"
-
-(* Why a WHNF value could not be read back as an exception constant:
-   either it is not an exception at all (the caller chooses the message
-   -- [raise] and [mapException] report differently, matching the
-   denotational semantics), or interpreting it raised an exception of
-   its own (a payload that raises propagates that exception). *)
-type to_exn_error = Not_exn | Exn_err of Exn.t
-
-let create ?(config = default_config) ?(trace = Obs.create ())
-    ?(rctx = R.global_context) () =
-  {
-    heap = Growarray.create ~dummy:Cell_unused ();
-    stats = Stats.create ();
-    cfg = config;
-    rctx;
-    fuel_left = config.fuel;
-    async = [];
-    mask_depth = 0;
-    heap_check_armed = true;
-    trace;
-    prov = Obs.new_provenance ();
-  }
-
-let stats m = m.stats
-let heap_size m = Growarray.length m.heap
-let trace m = m.trace
-let origin_of m e = Obs.find_origin m.prov e
-let pp_exn_with_origin m = Obs.pp_exn_with m.prov
-
-(* A broken unwind or a return into an empty stack mid-step: the dead
-   branches that used to be [assert false]. Fatal, but debuggable — the
-   exception carries the flight-recorder dump and a stats snapshot. *)
-let invariant_failure (m : t) (msg : string) : 'a =
-  let extra =
-    [
-      ("stats", Fmt.str "%a" Stats.pp m.stats);
-      ("heap", Printf.sprintf "%d cells" (Growarray.length m.heap));
-      ("mask-depth", string_of_int m.mask_depth);
-    ]
-  in
-  raise
-    (Obs.Machine_invariant
-       (Obs.dump ~note:("machine invariant violated: " ^ msg) ~extra m.trace))
-
-let refuel m = m.fuel_left <- m.cfg.fuel
-
-let set_mask_depth m d = m.mask_depth <- max 0 d
-
-exception Machine_stuck of failure
-
-(* A primitive or pattern-match type error inside [run]: caught at the
-   loop boundary and re-entered as an ordinary synchronous raise, so it
-   unwinds the stack (poisoning thunks, feeding [mapException] and catch
-   frames) exactly like any other exception — the denotational semantics
-   makes no distinction. *)
-exception Prim_type_error of string
+let default_config = Runtime.default_config
+let create = Runtime.create
+let stats = Runtime.stats
 
 (* Read a (frame, offset) slot from the environment chain. The resolver
    guarantees the frame walk and the index are in bounds for well-formed
@@ -179,12 +64,6 @@ let lookup (env : env) (s : R.slot) : addr =
   in
   go env s.R.frame
 
-let alloc_cell m cell =
-  m.stats.allocations <- m.stats.allocations + 1;
-  Growarray.push m.heap cell
-
-let alloc_value m v = alloc_cell m (Cell_value v)
-
 (* Fill a thunk template's capture array from the current environment
    and allocate it as a single-frame closure over exactly its free
    variables. *)
@@ -192,7 +71,7 @@ let capture env (caps : R.slot array) : env =
   if Array.length caps = 0 then Env_nil
   else Env_frame (Array.map (lookup env) caps, Env_nil)
 
-let alloc_spec m env (spec : R.tspec) : addr =
+let alloc_spec (m : t) env (spec : R.tspec) : addr =
   alloc_cell m (Cell_thunk (spec.R.tbody, capture env spec.R.caps))
 
 (* The resolver's statically-decided [alloc_in]: variable arguments
@@ -201,7 +80,7 @@ let arg_addr m env = function
   | R.Aslot s -> lookup env s
   | R.Athunk spec -> alloc_spec m env spec
 
-let alloc_resolved m r = alloc_cell m (Cell_thunk (r, Env_nil))
+let alloc_resolved (m : t) r = alloc_cell m (Cell_thunk (r, Env_nil))
 let alloc m e = alloc_resolved m (R.expr ~ctx:m.rctx e)
 
 (* Pre-resolved [$f $x] template shared by [alloc_app] and the nested
@@ -210,24 +89,14 @@ let app01 : R.rexpr =
   R.RApp
     (R.RVar { R.frame = 0; R.idx = 0 }, R.Aslot { R.frame = 0; R.idx = 1 })
 
-let alloc_app m f x =
-  alloc_cell m (Cell_thunk (app01, Env_frame ([| f; x |], Env_nil)))
-
-let inject_async m ~at_step e = m.async <- m.async @ [ (at_step, e) ]
-let clear_async m = m.async <- []
-
-let exn_to_mvalue m (e : Exn.t) : mvalue =
-  let tag = R.con_tag ~ctx:m.rctx (Exn.constructor_name e) in
-  match Exn.payload e with
-  | Some (Exn.P_string s) -> MCon (tag, [| alloc_value m (MString s) |])
-  | Some (Exn.P_int n) -> MCon (tag, [| alloc_value m (MInt n) |])
-  | None -> MCon (tag, [||])
+let alloc_app (m : t) f x = Runtime.alloc_app m app01 f x
+let update = function F_update a -> Some a | _ -> None
 
 (* The machine loop. [catch] marks the bottom of this run's stack as a
    getException catch mark: synchronous raises and asynchronous events
    that unwind all the way down are returned as [Error]. *)
-let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
-    =
+let rec run (m : t) ~(catch : bool) (code0 : (R.rexpr, R.lam) code) :
+    (mvalue, failure) result =
   let stack : frame list ref = ref [] in
   let depth = ref 0 in
   let code = ref code0 in
@@ -241,20 +110,16 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
     decr depth
   in
   let type_error msg = raise (Prim_type_error msg) in
-
-  (* Register the origin of a raise (provenance is always-on: raises are
-     off the fast path) and record the event when the recorder is on. *)
-  let note_raise label exn =
-    let o = Obs.origin ~label ~depth:!depth ~step:m.stats.steps in
-    Obs.set_origin m.prov exn o;
-    if Obs.on m.trace then Obs.record m.trace (Obs.Ev_raise (exn, o));
-    o
-  in
+  let note_raise label exn = note_raise m ~depth:!depth label exn in
+  (* Asynchronous events reach only an unmasked catch mark; the mask
+     depth is set between runs, so the condition is fixed per run. *)
+  let poll = catch && m.mask_depth = 0 in
 
   (* Synchronous unwinding: trim to the mark, poisoning update frames
-     (Section 3.3). Returns [Some code'] to continue executing, or [None]
-     when the stack is fully unwound (the failure reaches the caller). *)
-  let rec unwind_sync (o : Obs.origin) (exn : Exn.t) : code option =
+     (Section 3.3), and continue at the frame that handles the raise. An
+     empty stack ends the run: the failure reaches the caller. *)
+  let rec unwind_sync (o : Obs.origin) (exn : Exn.t) : (R.rexpr, R.lam) code
+      =
     match !stack with
     | [] -> raise (Machine_stuck (Fail_exn exn))
     | f :: rest -> (
@@ -262,92 +127,33 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
         m.stats.frames_trimmed <- m.stats.frames_trimmed + 1;
         match f with
         | F_update a ->
-            (* Section 3.3 (footnote 3): the abandoned thunk must be
-               overwritten with [raise ex]. The [poison_thunks] ablation
-               leaves the black hole behind instead, reproducing the bug
-               the paper warns about: re-evaluation then sees a black
-               hole, not the exception. *)
-            if m.cfg.poison_thunks then begin
-              Growarray.set m.heap a (Cell_raise (exn, o));
-              m.stats.thunks_poisoned <- m.stats.thunks_poisoned + 1;
-              if Obs.on m.trace then
-                Obs.record m.trace (Obs.Ev_poison (a, exn))
-            end;
+            poison m a exn o;
             unwind_sync o exn
         | F_isexn ->
             (* unsafeIsException observes the raise and answers True. *)
-            Some (C_ret (MCon (R.t_true, [||])))
+            C_ret (MCon (R.t_true, [||]))
         | F_unsafe_catch ->
-            Some
-              (C_ret
-                 (MCon (R.t_bad, [| alloc_value m (exn_to_mvalue m exn) |])))
-        | F_mapexn f_addr -> (
-            (* Transform the representative exception by applying the
-               mapped function in a nested run, then keep unwinding with
-               the transformed exception (Section 5.4). *)
-            let e_addr = alloc_value m (exn_to_mvalue m exn) in
-            let a = alloc_app m f_addr e_addr in
-            match run m ~catch:false (C_enter a) with
-            | Ok v -> (
-                match mvalue_to_exn m v with
-                | Ok exn' -> unwind_sync (note_raise "mapException" exn') exn'
-                | Error Not_exn ->
-                    (* Matches [Sem_value.exn_of_whnf]: the denotational
-                       semantics reports a non-exception uniformly, with
-                       no mapException-specific message. *)
-                    let exn' = Exn.Type_error "raise: not an exception" in
-                    unwind_sync (note_raise "mapException" exn') exn'
-                | Error (Exn_err exn') ->
-                    unwind_sync (note_raise "mapException" exn') exn')
-            | Error (Fail_exn exn') ->
-                unwind_sync (note_raise "mapException" exn') exn'
-            | Error (Fail_async _ | Fail_diverged) ->
-                raise (Machine_stuck Fail_diverged))
+            C_ret (MCon (R.t_bad, [| alloc_value m (exn_to_mvalue m exn) |]))
+        | F_mapexn f_addr ->
+            let exn' = map_exn run m ~app:app01 f_addr exn in
+            unwind_sync (note_raise "mapException" exn') exn'
         | F_apply _ | F_case _ | F_prim _ | F_raise _ -> unwind_sync o exn)
   in
 
   (* A fresh raise at a labelled site, continued as machine code. *)
   let raise_to_code ?(label = "raise") exn =
-    match unwind_sync (note_raise label exn) exn with
-    | Some c -> c
-    | None -> invariant_failure m "unwind_sync returned no continuation"
+    unwind_sync (note_raise label exn) exn
   in
 
   (* A poisoned thunk re-entered: replay the raise with its original
      origin intact. *)
   let reraise_to_code o exn =
-    Obs.set_origin m.prov exn o;
-    if Obs.on m.trace then Obs.record m.trace (Obs.Ev_rethrow (exn, o));
-    match unwind_sync o exn with
-    | Some c -> c
-    | None -> invariant_failure m "unwind_sync returned no continuation"
-  in
-
-  (* Asynchronous unwinding (Section 5.1): pause cells instead of poison,
-     so the abandoned work is resumable. The segment saved with each thunk
-     is the stack slice above its update frame, top first. *)
-  let unwind_async (exn : Exn.t) : 'a =
-    m.stats.async_delivered <- m.stats.async_delivered + 1;
-    ignore (note_raise "async" exn);
-    if Obs.on m.trace then Obs.record m.trace (Obs.Ev_async exn);
-    let rec go cur_code buf st =
-      match st with
-      | [] ->
-          stack := [];
-          depth := 0;
-          raise (Machine_stuck (Fail_async exn))
-      | F_update a :: rest ->
-          Growarray.set m.heap a (Cell_paused (cur_code, List.rev buf));
-          m.stats.thunks_paused <- m.stats.thunks_paused + 1;
-          if Obs.on m.trace then Obs.record m.trace (Obs.Ev_pause a);
-          go (C_enter a) [] rest
-      | f :: rest -> go cur_code (f :: buf) rest
-    in
-    go !code [] !stack
+    note_reraise m o exn;
+    unwind_sync o exn
   in
 
   let pending_async () =
-    if (not catch) || m.mask_depth > 0 then None
+    if not poll then None
     else
       match m.async with
       | (k, x) :: rest when m.stats.steps >= k ->
@@ -362,30 +168,13 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
     else raise_to_code ~label:"arith-overflow" Exn.Overflow
   in
 
-  let mbool b = MCon ((if b then R.t_true else R.t_false), [||]) in
-
-  let apply_prim (p : Lang.Prim.t) (vs : mvalue list) : code =
+  let apply_prim (p : Lang.Prim.t) (vs : mvalue list) : (R.rexpr, R.lam) code
+      =
     let module P = Lang.Prim in
     let int2 k =
       match vs with
       | [ MInt a; MInt b ] -> k a b
       | _ -> type_error (P.name p ^ ": expected integers")
-    in
-    let cmp k =
-      match vs with
-      | [ MInt a; MInt b ] -> C_ret (mbool (k (Stdlib.compare a b)))
-      | [ MChar a; MChar b ] -> C_ret (mbool (k (Stdlib.compare a b)))
-      | [ MString a; MString b ] -> C_ret (mbool (k (String.compare a b)))
-      | [ MCon (a, [||]); MCon (b, [||]) ] ->
-          (* Nullary constructors compare by name, as before interning:
-             tag order is interning order, not lexicographic. *)
-          C_ret
-            (mbool
-               (k
-                  (String.compare
-                     (R.con_name ~ctx:m.rctx a)
-                     (R.con_name ~ctx:m.rctx b))))
-      | _ -> type_error (P.name p ^ ": uncomparable values")
     in
     match p with
     | P.Add -> int2 (fun a b -> arith (a + b))
@@ -403,12 +192,10 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
         match vs with
         | [ MInt a ] -> arith (-a)
         | _ -> type_error "negate: expected an integer")
-    | P.Eq -> cmp (fun c -> c = 0)
-    | P.Ne -> cmp (fun c -> c <> 0)
-    | P.Lt -> cmp (fun c -> c < 0)
-    | P.Le -> cmp (fun c -> c <= 0)
-    | P.Gt -> cmp (fun c -> c > 0)
-    | P.Ge -> cmp (fun c -> c >= 0)
+    | P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge -> (
+        match vs with
+        | [ a; b ] -> C_ret (compare_prim m p a b)
+        | _ -> type_error (P.name p ^ ": uncomparable values"))
     | P.Seq -> (
         match vs with
         | [ _; v2 ] -> C_ret v2
@@ -478,7 +265,7 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
     | Some (label, exn) -> code := raise_to_code ~label exn
     | None -> (
     (match pending_async () with
-    | Some x -> unwind_async x
+    | Some x -> unwind_async m ~depth:!depth ~update !code !stack x
     | None -> ());
     match !code with
     | C_enter a -> (
@@ -598,19 +385,13 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
                 | next :: rest' ->
                     push (F_prim (p, done', rest', env));
                     code := C_eval (next, env))
-            | F_raise lbl -> (
-                match mvalue_to_exn m v with
-                | Ok exn -> code := raise_to_code ~label:lbl exn
-                | Error Not_exn ->
-                    code :=
-                      raise_to_code ~label:lbl
-                        (Exn.Type_error "raise: not an exception")
-                | Error (Exn_err e) -> code := raise_to_code ~label:lbl e)
+            | F_raise lbl ->
+                code := raise_to_code ~label:lbl (raised_exn run m v)
             | F_mapexn _ ->
                 (* The protected value was normal: mapException is the
                    identity. *)
                 code := C_ret v
-            | F_isexn -> code := C_ret (mbool false)
+            | F_isexn -> code := C_ret (MCon (R.t_false, [||]))
             | F_unsafe_catch ->
                 code := C_ret (MCon (R.t_ok, [| alloc_value m v |])))))
   in
@@ -631,159 +412,28 @@ let rec run (m : t) ~(catch : bool) (code0 : code) : (mvalue, failure) result
     exec ()
   with Machine_stuck failure -> Error failure
 
-(* Interpret a WHNF machine value as an exception constant; forces the
-   payload in a nested run. *)
-and mvalue_to_exn (m : t) (v : mvalue) : (Exn.t, to_exn_error) result =
-  match v with
-  | MCon (tag, args) -> (
-      let payload =
-        match args with
-        | [||] -> Ok None
-        | [| a |] -> (
-            match run m ~catch:false (C_enter a) with
-            | Ok (MString s) -> Ok (Some (Exn.P_string s))
-            | Ok (MInt n) -> Ok (Some (Exn.P_int n))
-            | Ok _ ->
-                Error (Exn.Type_error "exception payload is not a string")
-            | Error (Fail_exn e) | Error (Fail_async e) -> Error e
-            | Error Fail_diverged ->
-                Error (Exn.Type_error "exception payload failed to evaluate"))
-        | _ -> Error (Exn.Type_error "exception constructor arity")
-      in
-      match payload with
-      | Error e -> Error (Exn_err e)
-      | Ok p -> (
-          let name = R.con_name ~ctx:m.rctx tag in
-          match Exn.of_constructor_p name p with
-          | Some e -> Ok e
-          | None ->
-              Error
-                (Exn_err
-                   (Exn.Type_error
-                      (name ^ " is not an exception constructor")))))
-  | MInt _ | MChar _ | MString _ | MClo _ -> Error Not_exn
-
-let force m a = run m ~catch:false (C_enter a)
-
-let force_catch m a =
-  m.stats.catches <- m.stats.catches + 1;
-  let r = run m ~catch:true (C_enter a) in
-  (if Obs.on m.trace then
-     match r with
-     | Error (Fail_exn e) | Error (Fail_async e) ->
-         Obs.record m.trace (Obs.Ev_catch (Some e))
-     | Ok _ | Error Fail_diverged -> Obs.record m.trace (Obs.Ev_catch None));
-  r
-
-type deep_result = DV of Semantics.Sem_value.deep | DFail of failure
-
-module SV = Semantics.Sem_value
-
-let rec deep ?(depth = 64) m a : SV.deep =
-  if depth <= 0 then SV.DCut
-  else
-    match force m a with
-    | Error (Fail_exn e) -> SV.DBad (Semantics.Exn_set.singleton e)
-    | Error (Fail_async e) -> SV.DBad (Semantics.Exn_set.singleton e)
-    | Error Fail_diverged -> SV.DBad Semantics.Exn_set.bottom
-    | Ok v -> (
-        match v with
-        | MInt n -> SV.DInt n
-        | MChar c -> SV.DChar c
-        | MString s -> SV.DString s
-        | MClo _ -> SV.DFun
-        | MCon (tag, addrs) ->
-            SV.DCon
-              ( R.con_name ~ctx:m.rctx tag,
-                List.map
-                  (fun a' -> deep ~depth:(depth - 1) m a')
-                  (Array.to_list addrs) ))
+let force = Runtime.force run
+let force_catch = Runtime.force_catch run
+let deep = Runtime.deep run
+let mvalue_to_exn = Runtime.mvalue_to_exn run
 
 let run_expr ?config e =
   let m = create ?config () in
-  let a = alloc m e in
-  let r = force m a in
+  let r = force m (alloc m e) in
   (r, m.stats)
 
 let run_deep ?config ?depth e =
   let m = create ?config () in
-  let a = alloc m e in
-  let d = deep ?depth m a in
+  let d = deep ?depth m (alloc m e) in
   (d, m.stats)
 
+let copy_frame copy = function
+  | F_update a -> F_update (copy a)
+  | F_apply a -> F_apply (copy a)
+  | F_case (alts, env) -> F_case (alts, copy_env copy env)
+  | F_prim (p, done_, rest, env) ->
+      F_prim (p, List.map (copy_value copy) done_, rest, copy_env copy env)
+  | F_mapexn a -> F_mapexn (copy a)
+  | (F_raise _ | F_isexn | F_unsafe_catch) as f -> f
 
-(* ------------------------------------------------------------------ *)
-(* Garbage collection: a semi-space copying collector over the cell    *)
-(* heap. Roots are the addresses the caller still holds; the machine   *)
-(* must be between runs (no live stack). Returns the relocated roots   *)
-(* in order.                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let gc (m : t) ~(roots : addr list) : addr list =
-  let old_heap = m.heap in
-  let old_len = Growarray.length old_heap in
-  let new_heap = Growarray.create ~capacity:(max 16 old_len) ~dummy:Cell_unused () in
-  let forward = Array.make (max 1 old_len) (-1) in
-  (* Cheney-style: copy the cell shell first, then scan and rewrite. *)
-  let rec copy (a : addr) : addr =
-    if a < 0 || a >= old_len then a
-    else if forward.(a) >= 0 then forward.(a)
-    else begin
-      let a' = Growarray.push new_heap (Growarray.get old_heap a) in
-      forward.(a) <- a';
-      (* Depth-first rewrite of the freshly copied cell. OCaml's own
-         stack bounds recursion depth; heaps here are small enough, and
-         long list spines alternate through environment frames which are
-         copied breadth-ish via [copy_env]. *)
-      Growarray.set new_heap a' (copy_cell (Growarray.get old_heap a));
-      a'
-    end
-
-  and copy_env = function
-    | Env_nil -> Env_nil
-    | Env_frame (arr, up) -> Env_frame (Array.map copy arr, copy_env up)
-
-  and copy_value = function
-    | (MInt _ | MChar _ | MString _) as v -> v
-    | MCon (tag, addrs) -> MCon (tag, Array.map copy addrs)
-    | MClo (l, caps) -> MClo (l, Array.map copy caps)
-
-  and copy_code = function
-    | C_eval (e, env) -> C_eval (e, copy_env env)
-    | C_enter a -> C_enter (copy a)
-    | C_ret v -> C_ret (copy_value v)
-
-  and copy_frame = function
-    | F_update a -> F_update (copy a)
-    | F_apply a -> F_apply (copy a)
-    | F_case (alts, env) -> F_case (alts, copy_env env)
-    | F_prim (p, done_, rest, env) ->
-        F_prim (p, List.map copy_value done_, rest, copy_env env)
-    | F_raise _ as f -> f
-    | F_mapexn a -> F_mapexn (copy a)
-    | F_isexn -> F_isexn
-    | F_unsafe_catch -> F_unsafe_catch
-
-  and copy_cell = function
-    | Cell_thunk (e, env) -> Cell_thunk (e, copy_env env)
-    | Cell_value v -> Cell_value (copy_value v)
-    | Cell_blackhole -> Cell_blackhole
-    | Cell_raise _ as c -> c
-    | Cell_paused (code, frames) ->
-        Cell_paused (copy_code code, List.map copy_frame frames)
-    | Cell_unused -> Cell_unused
-  in
-  let roots' = List.map copy roots in
-  m.heap <- new_heap;
-  m.stats.collections <- m.stats.collections + 1;
-  m.stats.live_copied <-
-    m.stats.live_copied + Growarray.length new_heap;
-  if Obs.on m.trace then
-    Obs.record m.trace (Obs.Ev_gc (old_len, Growarray.length new_heap));
-  (* Re-arm the heap limit only once a collection has actually brought the
-     heap back under it; otherwise the next step would re-raise before the
-     supervisor makes progress. *)
-  (match m.cfg.heap_limit with
-  | Some lim when Growarray.length new_heap < lim -> m.heap_check_armed <- true
-  | _ -> ());
-  roots'
+let gc = Runtime.gc copy_frame

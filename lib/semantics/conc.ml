@@ -98,8 +98,9 @@ module Eval = struct
     | Error (Bad s) -> Error (fail st s)
     | Error (Ok_v _) -> Error (Core.Exn (Exn.Type_error "throwTo: not an exception"))
 
-  (* The asynchronous schedule: [(k, x)] delivers [x] at the first
-     unmasked [getException] performed at or after clock tick [k]. *)
+  (* The asynchronous schedule, delivered in list order: the head
+     [(k, x)] delivers [x] at the first unmasked [getException] performed
+     at or after clock tick [k], and later events wait for it. *)
   let catch st ~mask ~clock v : v Core.caught =
     match st.async with
     | (k, x) :: rest when mask = 0 && clock >= k ->

@@ -47,8 +47,9 @@ type result = {
 }
 
 type schedule = (int * Lang.Exn.t) list
-(** Asynchronous events: [(k, x)] delivers [x] at the first unmasked
-    [getException] performed at or after clock tick [k]. *)
+(** Asynchronous events, delivered in list order: the head [(k, x)]
+    delivers [x] at the first unmasked [getException] performed at or
+    after clock tick [k], and later events wait for it. *)
 
 val run :
   ?config:Denot.config ->

@@ -10,8 +10,8 @@
    clock and no IO at all.
 
    Robustness design, in one paragraph: every request runs on its own
-   {!Machine.Stg.t} (fresh heap, fresh counters, fresh provenance — the
-   re-entrancy audit made that a machine invariant), under its own fuel,
+   {!Machine.Runtime.t} (fresh heap, fresh counters, fresh provenance —
+   the re-entrancy audit made that a machine invariant), under its own fuel,
    heap and stack quotas, so a quota breach is an ordinary imprecise
    exception inside that machine and nothing else. Wall-clock timeouts
    reuse the paper's Section 5.1 machinery verbatim: the engine injects
@@ -29,6 +29,7 @@
 
 module M = Machine.Stg
 module B = Machine.Bytecode
+module Runtime = Machine.Runtime
 module Stats = Machine.Stats
 module R = Lang.Resolve
 module Exn = Lang.Exn
@@ -161,21 +162,23 @@ type t = {
   mutable next_seq : int;
 }
 
-and request = {
+(* A request on either backend's machine. Both are one {!Runtime.t}, so
+   everything downstream of [force_catch] — quota classification,
+   timeout handling, stats aggregation — is one code path; the backend
+   is picked once, at [submit], as the loop's [force_catch] and [deep]. *)
+and request = Req : ('b, 'l, 'f, 'p) req -> request
+
+and ('b, 'l, 'f, 'p) req = {
   rid : string;
   rsession : session;
-  rm : rmachine;
+  m : ('b, 'l, 'f, 'p) Runtime.t;
+  root : Runtime.addr;
+  force_catch : ('b, 'l, 'f, 'p) Runtime.whnf;
+  deep : ?depth:int -> ('b, 'l, 'f, 'p) Runtime.t -> Runtime.addr -> SV.deep;
   deadline : int64;
   seq : int;  (* admission order: the eviction victim is the min seq *)
   rdepth : int;
 }
-
-(* A request machine, either backend. [Bytecode.failure] and
-   [Bytecode.config] are re-exported equalities to the slot machine's
-   types, so everything downstream of [force_catch] — quota
-   classification, timeout handling, stats aggregation — is one code
-   path; only the half-dozen accessors below dispatch. *)
-and rmachine = Rm_slot of M.t * M.addr | Rm_bc of B.t * B.addr
 
 and session = {
   engine : t;
@@ -216,39 +219,6 @@ let machine_totals t = t.agg
 let inflight t = List.length t.inflight
 let cache_size t = Hashtbl.length t.cache
 let config t = t.cfg
-
-(* ------------------------------------------------------------------ *)
-(* Backend dispatch                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let rm_stats = function
-  | Rm_slot (m, _) -> M.stats m
-  | Rm_bc (m, _) -> B.stats m
-
-let rm_heap_size = function
-  | Rm_slot (m, _) -> M.heap_size m
-  | Rm_bc (m, _) -> B.heap_size m
-
-let rm_trace = function
-  | Rm_slot (m, _) -> M.trace m
-  | Rm_bc (m, _) -> B.trace m
-
-let rm_inject_async rm ~at_step x =
-  match rm with
-  | Rm_slot (m, _) -> M.inject_async m ~at_step x
-  | Rm_bc (m, _) -> B.inject_async m ~at_step x
-
-let rm_clear_async = function
-  | Rm_slot (m, _) -> M.clear_async m
-  | Rm_bc (m, _) -> B.clear_async m
-
-let rm_force_catch = function
-  | Rm_slot (m, a) -> Result.map ignore (M.force_catch m a)
-  | Rm_bc (m, a) -> Result.map ignore (B.force_catch m a)
-
-let rm_deep ~depth = function
-  | Rm_slot (m, a) -> M.deep ~depth m a
-  | Rm_bc (m, a) -> B.deep ~depth m a
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
@@ -415,9 +385,9 @@ let write_dump t ~rid (text : string) : string option =
    the flight-recorder dump (the invariant exception already carries
    one; anything else gets a fresh dump of the request's recorder) and
    answer [crash] to this client only. *)
-let crash t (req : request) (what : string) (dump : string) =
+let crash t req (what : string) (dump : string) =
   t.c.crashes <- t.c.crashes + 1;
-  Stats.add t.agg (rm_stats req.rm);
+  Stats.add t.agg (Runtime.stats req.m);
   let where = write_dump t ~rid:req.rid dump in
   let detail =
     match where with
@@ -430,11 +400,11 @@ let crash t (req : request) (what : string) (dump : string) =
 (* Request lifecycle                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let finish t (req : request) = Stats.add t.agg (rm_stats req.rm)
+let finish t req = Stats.add t.agg (Runtime.stats req.m)
 
-let arm_slice t (req : request) =
-  rm_inject_async req.rm
-    ~at_step:((rm_stats req.rm).Stats.steps + t.cfg.slice)
+let arm_slice t req =
+  Runtime.inject_async req.m
+    ~at_step:((Runtime.stats req.m).Stats.steps + t.cfg.slice)
     Exn.Timeout
 
 (* Oldest-paused eviction: the paused requests are the only elastic
@@ -443,25 +413,24 @@ let arm_slice t (req : request) =
    reply. A single over-budget request is never self-evicted — its own
    heap quota already bounds it. *)
 let shed_memory t =
-  let total () =
-    List.fold_left (fun acc r -> acc + rm_heap_size r.rm) 0 t.inflight
-  in
+  let heap (Req r) = Runtime.heap_size r.m and seq (Req r) = r.seq in
+  let total () = List.fold_left (fun acc r -> acc + heap r) 0 t.inflight in
   let rec go () =
     if List.length t.inflight > 1 && total () > t.cfg.mem_budget then begin
       let victim =
         List.fold_left
           (fun acc r ->
-            match acc with Some v when v.seq <= r.seq -> acc | _ -> Some r)
+            match acc with Some v when seq v <= seq r -> acc | _ -> Some r)
           None t.inflight
       in
       match victim with
       | None -> ()
-      | Some v ->
-          t.inflight <- List.filter (fun r -> r.seq <> v.seq) t.inflight;
+      | Some (Req v as q) ->
+          t.inflight <- List.filter (fun r -> seq r <> v.seq) t.inflight;
           t.c.evictions <- t.c.evictions + 1;
           finish t v;
           reply_err v.rsession v.rid "evicted"
-            (Printf.sprintf "memory-pressure heap=%d" (rm_heap_size v.rm));
+            (Printf.sprintf "memory-pressure heap=%d" (heap q));
           go ()
     end
   in
@@ -469,19 +438,19 @@ let shed_memory t =
 
 (* One scheduling quantum for one request: resume it (re-entering its
    pause cells), and classify how the slice ended. *)
-let run_slice t (req : request) =
-  match rm_force_catch req.rm with
+let run_slice t req =
+  match req.force_catch req.m req.root with
   | Ok _ ->
       (* WHNF reached. Withdraw the unfired slice interrupt, then
          deep-force for the reply; quota breaches inside the structure
          surface as [DBad] fields, exactly as one-shot [run_deep] would
          report them. *)
-      rm_clear_async req.rm;
-      let d = rm_deep ~depth:req.rdepth req.rm in
+      Runtime.clear_async req.m;
+      let d = req.deep ~depth:req.rdepth req.m req.root in
       finish t req;
       t.c.ok <- t.c.ok + 1;
       reply_ok req.rsession req.rid d
-  | Error (M.Fail_async _) ->
+  | Error (Runtime.Fail_async _) ->
       (* Our slice interrupt — the only source of asynchronous events in
          a pure serve evaluation. The request is now a bundle of pause
          cells; decide whether its wall clock has run out. *)
@@ -489,27 +458,27 @@ let run_slice t (req : request) =
         finish t req;
         t.c.timeouts <- t.c.timeouts + 1;
         reply_err req.rsession req.rid "timeout"
-          (Printf.sprintf "steps=%d" (rm_stats req.rm).Stats.steps)
+          (Printf.sprintf "steps=%d" (Runtime.stats req.m).Stats.steps)
       end
       else begin
         arm_slice t req;
-        t.inflight <- t.inflight @ [ req ];
+        t.inflight <- t.inflight @ [ Req req ];
         shed_memory t
       end
-  | Error M.Fail_diverged ->
+  | Error Runtime.Fail_diverged ->
       finish t req;
       t.c.quota_fuel <- t.c.quota_fuel + 1;
       reply_err req.rsession req.rid "quota:fuel" "diverged-or-exhausted"
-  | Error (M.Fail_exn e) -> (
+  | Error (Runtime.Fail_exn e) -> (
       finish t req;
-      let st = rm_stats req.rm in
+      let st = Runtime.stats req.m in
       (* The latch counters distinguish a limit-triggered overflow from
          a program that merely raised the same constant. *)
       match e with
       | Exn.Heap_overflow when st.Stats.heap_overflows > 0 ->
           t.c.quota_heap <- t.c.quota_heap + 1;
           reply_err req.rsession req.rid "quota:heap"
-            (Printf.sprintf "cells=%d" (rm_heap_size req.rm))
+            (Printf.sprintf "cells=%d" (Runtime.heap_size req.m))
       | Exn.Stack_overflow_exn when st.Stats.stack_overflows > 0 ->
           t.c.quota_stack <- t.c.quota_stack + 1;
           reply_err req.rsession req.rid "quota:stack"
@@ -524,20 +493,20 @@ let run_slice t (req : request) =
 let tick t =
   (match t.inflight with
   | [] -> ()
-  | req :: rest -> (
+  | Req req :: rest -> (
       t.inflight <- rest;
       try run_slice t req with
       | Obs.Machine_invariant dump -> crash t req "machine-invariant" dump
       | Stack_overflow ->
           crash t req "native-stack-overflow"
             (Obs.dump ~note:"native stack overflow in serve slice"
-               (rm_trace req.rm))
+               (Runtime.trace req.m))
       | e ->
           crash t req
             ("unexpected:" ^ one_line (Printexc.to_string e))
             (Obs.dump
                ~note:("unexpected exception: " ^ Printexc.to_string e)
-               (rm_trace req.rm))));
+               (Runtime.trace req.m))));
   t.inflight <> []
 
 let rec run_all t = if tick t then run_all t else ()
@@ -568,50 +537,46 @@ let submit t (s : session) (id : string) (o : opts) (src : string) =
         in
         reply_err s id kind msg
     | Ok entry ->
-        let mcfg =
+        let config =
           {
-            M.default_config with
-            M.fuel = o.o_fuel;
+            Runtime.default_config with
+            fuel = o.o_fuel;
             heap_limit = Some o.o_heap;
             stack_limit = Some o.o_stack;
           }
         in
-        let rm =
-          match t.cfg.backend with
-          | Slot ->
-              let m =
-                M.create ~config:mcfg
-                  ~trace:(Obs.create ~on:t.cfg.trace ())
-                  ()
-              in
-              Rm_slot (m, M.alloc_resolved m entry.rx)
-          | Bytecode ->
-              let m =
-                B.create ~config:mcfg
-                  ~trace:(Obs.create ~on:t.cfg.trace ())
-                  (bytecode_of entry)
-              in
-              Rm_bc (m, B.entry m)
+        let trace = Obs.create ~on:t.cfg.trace () in
+        let admit m root force_catch deep =
+          let deadline =
+            if o.o_timeout_ms <= 0 then Int64.max_int
+            else
+              Int64.add (t.cfg.now ())
+                (Int64.mul (Int64.of_int o.o_timeout_ms) 1_000_000L)
+          in
+          let req =
+            {
+              rid = id;
+              rsession = s;
+              m;
+              root;
+              force_catch;
+              deep;
+              deadline;
+              seq = t.next_seq;
+              rdepth = o.o_depth;
+            }
+          in
+          t.next_seq <- t.next_seq + 1;
+          arm_slice t req;
+          t.inflight <- t.inflight @ [ Req req ]
         in
-        let deadline =
-          if o.o_timeout_ms <= 0 then Int64.max_int
-          else
-            Int64.add (t.cfg.now ())
-              (Int64.mul (Int64.of_int o.o_timeout_ms) 1_000_000L)
-        in
-        let req =
-          {
-            rid = id;
-            rsession = s;
-            rm;
-            deadline;
-            seq = t.next_seq;
-            rdepth = o.o_depth;
-          }
-        in
-        t.next_seq <- t.next_seq + 1;
-        arm_slice t req;
-        t.inflight <- t.inflight @ [ req ]
+        match t.cfg.backend with
+        | Slot ->
+            let m = M.create ~config ~trace () in
+            admit m (M.alloc_resolved m entry.rx) M.force_catch M.deep
+        | Bytecode ->
+            let m = B.create ~config ~trace (bytecode_of entry) in
+            admit m (B.entry m) B.force_catch B.deep
 
 (* ------------------------------------------------------------------ *)
 (* The line protocol                                                   *)

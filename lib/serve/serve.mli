@@ -30,7 +30,7 @@
 
     {1 Robustness model}
 
-    Each request runs on its own {!Machine.Stg.t} under its own fuel,
+    Each request runs on its own {!Machine.Runtime.t} under its own fuel,
     heap and stack quotas — a breach is an imprecise exception inside
     that machine only; the daemon never dies. Wall-clock timeouts reuse
     Section 5.1's pause cells: an asynchronous interrupt is injected

@@ -107,7 +107,7 @@ let suite =
             Alcotest.failf "faithful second catch: %s"
               (match r with
               | Ok _ -> "value"
-              | Error f -> Fmt.str "%a" Machine.pp_failure f));
+              | Error f -> Fmt.str "%a" Runtime.pp_failure f));
         (* Ablated machine: the second catch hits a black hole. *)
         let config =
           {

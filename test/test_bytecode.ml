@@ -92,17 +92,17 @@ let pr4_reproducers =
 let interrupted_resume_agree src =
   let expected, _ = M.run_deep (parse src) in
   let m, a = bc_machine (parse src) in
-  B.inject_async m ~at_step:50 E.Interrupt;
+  Runtime.inject_async m ~at_step:50 E.Interrupt;
   (match B.force_catch m a with
-  | Error (B.Fail_async E.Interrupt) -> ()
+  | Error (Runtime.Fail_async E.Interrupt) -> ()
   | Ok _ -> Alcotest.fail "bytecode: expected interruption"
-  | Error f -> Alcotest.failf "bytecode: unexpected %a" B.pp_failure f);
+  | Error f -> Alcotest.failf "bytecode: unexpected %a" Runtime.pp_failure f);
   Alcotest.(check bool)
     "bytecode machine paused work" true
     ((B.stats m).Stats.thunks_paused > 0);
   match B.force_catch m a with
   | Ok _ -> Alcotest.check deep "resume = uninterrupted" expected (B.deep m a)
-  | Error f -> Alcotest.failf "bytecode: resume failed: %a" B.pp_failure f
+  | Error f -> Alcotest.failf "bytecode: resume failed: %a" Runtime.pp_failure f
 
 let suite =
   [
@@ -131,8 +131,8 @@ let suite =
           M.force_catch m (M.alloc m w)
         in
         match (rb, rs) with
-        | Error (B.Fail_exn e1), Error (M.Fail_exn e2) -> E.equal e1 e2
-        | Error B.Fail_diverged, _ | _, Error M.Fail_diverged -> true
+        | Error (Runtime.Fail_exn e1), Error (M.Fail_exn e2) -> E.equal e1 e2
+        | Error Runtime.Fail_diverged, _ | _, Error M.Fail_diverged -> true
         | Ok _, Ok _ -> true
         | _ -> false);
     tc "fuzz-found bug reproducers: bytecode vs slot vs denot" (fun () ->
@@ -177,9 +177,9 @@ let suite =
         let m = B.create ~config:cfg (B.compile_expr (parse src)) in
         let a = B.entry m in
         (match B.force_catch m a with
-        | Ok (B.MInt 42) -> ()
+        | Ok (Runtime.MInt 42) -> ()
         | Ok _ -> Alcotest.fail "expected 42"
-        | Error f -> Alcotest.failf "unexpected %a" B.pp_failure f);
+        | Error f -> Alcotest.failf "unexpected %a" Runtime.pp_failure f);
         Alcotest.(check bool) "latch fired once" true
           ((B.stats m).Stats.heap_overflows = 1);
         (* After collection brings the heap back under the limit, the
@@ -188,9 +188,9 @@ let suite =
         Alcotest.(check (list int)) "no roots survive" [] roots;
         let b = B.entry m in
         (match B.force_catch m b with
-        | Ok (B.MInt 42) -> ()
+        | Ok (Runtime.MInt 42) -> ()
         | Ok _ -> Alcotest.fail "expected 42 after gc"
-        | Error f -> Alcotest.failf "after gc: %a" B.pp_failure f);
+        | Error f -> Alcotest.failf "after gc: %a" Runtime.pp_failure f);
         Alcotest.(check int) "latch re-armed and fired again" 2
           (B.stats m).Stats.heap_overflows);
     tc "stack latch agrees with the slot machine" (fun () ->
@@ -205,7 +205,7 @@ let suite =
           M.force_catch m (M.alloc m (parse src))
         in
         match (rb, rs) with
-        | Error (B.Fail_exn e1), Error (M.Fail_exn e2) ->
+        | Error (Runtime.Fail_exn e1), Error (M.Fail_exn e2) ->
             Alcotest.(check bool)
               (Fmt.str "both overflow: %a vs %a" E.pp e1 E.pp e2)
               true
@@ -218,23 +218,23 @@ let suite =
           "sum (map (\\x -> x * x) (enumFromTo 1 40))");
     tc "pause cells survive a collection" (fun () ->
         let m, a = bc_machine (parse "sum (enumFromTo 1 3000)") in
-        B.inject_async m ~at_step:2_000 E.Interrupt;
+        Runtime.inject_async m ~at_step:2_000 E.Interrupt;
         (match B.force_catch m a with
-        | Error (B.Fail_async E.Interrupt) -> ()
+        | Error (Runtime.Fail_async E.Interrupt) -> ()
         | r ->
             Alcotest.failf "expected interruption, got %a"
-              Fmt.(result ~ok:nop ~error:B.pp_failure)
+              Fmt.(result ~ok:nop ~error:Runtime.pp_failure)
               (Result.map ignore r));
-        let before = B.heap_size m in
+        let before = Runtime.heap_size m in
         (match B.gc m ~roots:[ a ] with
         | [ a' ] ->
             Alcotest.(check bool) "collection shrank the heap" true
-              (B.heap_size m <= before);
+              (Runtime.heap_size m <= before);
             (match B.force_catch m a' with
             | Ok _ ->
                 Alcotest.check deep "resumed across gc"
                   (Value.DInt 4_501_500) (B.deep m a')
-            | Error f -> Alcotest.failf "resume failed: %a" B.pp_failure f)
+            | Error f -> Alcotest.failf "resume failed: %a" Runtime.pp_failure f)
         | _ -> Alcotest.fail "root count");
         ());
     tc "exception-path stats match across machines" (fun () ->
@@ -247,7 +247,7 @@ let suite =
             let run_bc () =
               let m, a = bc_machine (parse src) in
               Option.iter
-                (fun (k, x) -> B.inject_async m ~at_step:k x)
+                (fun (k, x) -> Runtime.inject_async m ~at_step:k x)
                 async;
               ignore (B.force_catch m a);
               B.stats m
@@ -255,7 +255,7 @@ let suite =
             let run_slot () =
               let m = M.create ~config () in
               Option.iter
-                (fun (k, x) -> M.inject_async m ~at_step:k x)
+                (fun (k, x) -> Runtime.inject_async m ~at_step:k x)
                 async;
               ignore (M.force_catch m (M.alloc m (parse src)));
               M.stats m

@@ -11,18 +11,18 @@ let suite =
         let m = M.create () in
         let a = M.alloc m (parse "sum (enumFromTo 1 300)") in
         (match M.force m a with
-        | Ok (M.MInt 45150) -> ()
+        | Ok (Runtime.MInt 45150) -> ()
         | _ -> Alcotest.fail "value");
-        let before = M.heap_size m in
+        let before = Runtime.heap_size m in
         (match M.gc m ~roots:[ a ] with
         | [ a' ] -> (
-            let after = M.heap_size m in
+            let after = Runtime.heap_size m in
             Alcotest.(check bool)
               (Printf.sprintf "shrank %d -> %d" before after)
               true
               (after < before / 10);
             match M.force m a' with
-            | Ok (M.MInt 45150) -> ()
+            | Ok (Runtime.MInt 45150) -> ()
             | _ -> Alcotest.fail "value after gc")
         | _ -> Alcotest.fail "roots");
         Alcotest.(check int) "collections counted" 1
@@ -32,12 +32,12 @@ let suite =
         let a = M.alloc m (parse "1 + 1") in
         let b = M.alloc m (parse "2 + 2") in
         (match (M.force m a, M.force m b) with
-        | Ok (M.MInt 2), Ok (M.MInt 4) -> ()
+        | Ok (Runtime.MInt 2), Ok (Runtime.MInt 4) -> ()
         | _ -> Alcotest.fail "values");
         match M.gc m ~roots:[ a; b ] with
         | [ a'; b' ] -> (
             match (M.force m a', M.force m b') with
-            | Ok (M.MInt 2), Ok (M.MInt 4) -> ()
+            | Ok (Runtime.MInt 2), Ok (Runtime.MInt 4) -> ()
             | _ -> Alcotest.fail "values after gc")
         | _ -> Alcotest.fail "roots");
     tc "lazy structures survive collection unevaluated" (fun () ->
@@ -46,7 +46,7 @@ let suite =
           M.alloc m (parse "take 3 (iterate (\\x -> x * 2) 1)")
         in
         (* Force only the WHNF, collect, then force deeply. *)
-        (match M.force m a with Ok (M.MCon _) -> () | _ ->
+        (match M.force m a with Ok (Runtime.MCon _) -> () | _ ->
           Alcotest.fail "whnf");
         (match M.gc m ~roots:[ a ] with
         | [ a' ] ->
@@ -70,7 +70,7 @@ let suite =
             | Ok _ ->
                 Alcotest.check deep "cyclic" (dints [ 1; 1; 1; 1 ])
                   (M.deep m taker)
-            | Error f -> Alcotest.failf "take: %a" M.pp_failure f)
+            | Error f -> Alcotest.failf "take: %a" Runtime.pp_failure f)
         | _ -> Alcotest.fail "roots");
     tc "poisoned thunks survive collection" (fun () ->
         let m = M.create () in
@@ -87,7 +87,7 @@ let suite =
     tc "paused (interrupted) computations resume across collection"
       (fun () ->
         let m = M.create () in
-        M.inject_async m ~at_step:2_000 E.Timeout;
+        Runtime.inject_async m ~at_step:2_000 E.Timeout;
         let a = M.alloc m (parse "sum (enumFromTo 1 3000)") in
         (match M.force_catch m a with
         | Error (M.Fail_async E.Timeout) -> ()
@@ -95,7 +95,7 @@ let suite =
         match M.gc m ~roots:[ a ] with
         | [ a' ] -> (
             match M.force_catch m a' with
-            | Ok (M.MInt 4501500) -> ()
+            | Ok (Runtime.MInt 4501500) -> ()
             | _ -> Alcotest.fail "resume after gc")
         | _ -> Alcotest.fail "roots");
     tc "pause cells are traced and survive relocation" (fun () ->
@@ -105,7 +105,7 @@ let suite =
            proving relocation preserved the captured continuation. *)
         let trace = Obs.create ~on:true () in
         let m = M.create ~trace () in
-        M.inject_async m ~at_step:2_000 E.Timeout;
+        Runtime.inject_async m ~at_step:2_000 E.Timeout;
         let a = M.alloc m (parse "sum (enumFromTo 1 3000)") in
         (match M.force_catch m a with
         | Error (M.Fail_async E.Timeout) -> ()
@@ -119,7 +119,7 @@ let suite =
         match M.gc m ~roots:[ a ] with
         | [ a' ] -> (
             (match M.force_catch m a' with
-            | Ok (M.MInt 4501500) -> ()
+            | Ok (Runtime.MInt 4501500) -> ()
             | _ -> Alcotest.fail "resume after gc");
             let resumed =
               List.exists
@@ -131,12 +131,12 @@ let suite =
     tc "unrooted data is dropped" (fun () ->
         let m = M.create () in
         let _garbage = M.alloc m (parse "sum (enumFromTo 1 100)") in
-        let keep = M.alloc_value m (M.MInt 7) in
+        let keep = Runtime.alloc_value m (Runtime.MInt 7) in
         (match M.gc m ~roots:[ keep ] with
         | [ k ] ->
-            Alcotest.(check int) "one live cell" 1 (M.heap_size m);
+            Alcotest.(check int) "one live cell" 1 (Runtime.heap_size m);
             (match M.force m k with
-            | Ok (M.MInt 7) -> ()
+            | Ok (Runtime.MInt 7) -> ()
             | _ -> Alcotest.fail "kept value")
         | _ -> Alcotest.fail "roots"));
     tc "IO driver with gc_every produces identical results" (fun () ->
@@ -158,10 +158,10 @@ let suite =
         (match M.force m a with Ok _ -> () | Error _ -> Alcotest.fail "f");
         match M.gc m ~roots:[ a ] with
         | [ a1 ] -> (
-            let s1 = M.heap_size m in
+            let s1 = Runtime.heap_size m in
             match M.gc m ~roots:[ a1 ] with
             | [ a2 ] ->
-                let s2 = M.heap_size m in
+                let s2 = Runtime.heap_size m in
                 Alcotest.(check int) "stable" s1 s2;
                 Alcotest.check deep "value" (dints [ 0; 1; 2; 3; 4 ])
                   (M.deep m a2)
@@ -180,7 +180,7 @@ let suite =
           match M.force_catch m a with
           | Error (M.Fail_exn E.Heap_overflow) -> ()
           | Ok _ -> Alcotest.failf "%s: expected overflow, got a value" tag
-          | Error f -> Alcotest.failf "%s: unexpected %a" tag M.pp_failure f
+          | Error f -> Alcotest.failf "%s: unexpected %a" tag Runtime.pp_failure f
         in
         overflow_once "first cycle";
         (* Recover: drop everything and collect, which re-arms the
@@ -188,10 +188,10 @@ let suite =
         (match M.gc m ~roots:[] with
         | [] -> ()
         | _ -> Alcotest.fail "no roots requested");
-        Alcotest.(check bool) "heap freed" true (M.heap_size m < 100);
+        Alcotest.(check bool) "heap freed" true (Runtime.heap_size m < 100);
         (* A small allocation must now succeed... *)
         (match M.force m (M.alloc m (parse "1 + 2")) with
-        | Ok (M.MInt 3) -> ()
+        | Ok (Runtime.MInt 3) -> ()
         | _ -> Alcotest.fail "small alloc after recovery");
         (* ...and a second exhaustion must raise again, proving the
            latch re-armed rather than staying disarmed after cycle one. *)

@@ -22,7 +22,7 @@ let suite =
         let m = M.create () in
         let a = M.alloc m (parse "let x = 2 + 3 in x + x") in
         (match M.force m a with
-        | Ok (M.MInt 10) -> ()
+        | Ok (Runtime.MInt 10) -> ()
         | _ -> Alcotest.fail "expected 10");
         Alcotest.(check bool)
           "updates happened" true
@@ -148,14 +148,14 @@ let suite =
         | d -> Alcotest.failf "got %a" Value.pp_deep d);
     tc "async events stay pending without a catch" (fun () ->
         let m = M.create () in
-        M.inject_async m ~at_step:0 E.Timeout;
+        Runtime.inject_async m ~at_step:0 E.Timeout;
         let a = M.alloc m (parse "sum (enumFromTo 1 100)") in
         match M.force m a with
-        | Ok (M.MInt 5050) -> ()
+        | Ok (Runtime.MInt 5050) -> ()
         | _ -> Alcotest.fail "expected completion despite pending event");
     tc "async event unwinds to the catch" (fun () ->
         let m = M.create () in
-        M.inject_async m ~at_step:100 E.Timeout;
+        Runtime.inject_async m ~at_step:100 E.Timeout;
         let a = M.alloc m (parse "sum (enumFromTo 1 5000)") in
         match M.force_catch m a with
         | Error (M.Fail_async E.Timeout) ->
@@ -166,7 +166,7 @@ let suite =
     tc "paused computation resumes without losing work (Section 5.1)"
       (fun () ->
         let m = M.create () in
-        M.inject_async m ~at_step:2_000 E.Timeout;
+        Runtime.inject_async m ~at_step:2_000 E.Timeout;
         let a = M.alloc m (parse "sum (enumFromTo 1 3000)") in
         (match M.force_catch m a with
         | Error (M.Fail_async E.Timeout) -> ()
@@ -174,11 +174,11 @@ let suite =
         let steps_at_interrupt = (M.stats m).Stats.steps in
         (* Resume: the pause cells must carry the work forward. *)
         (match M.force_catch m a with
-        | Ok (M.MInt 4501500) -> ()
+        | Ok (Runtime.MInt 4501500) -> ()
         | Ok v ->
             Alcotest.failf "wrong resumed value %a" Value.pp_deep
-              (M.deep m (M.alloc_value m v))
-        | Error f -> Alcotest.failf "resume failed: %a" M.pp_failure f);
+              (M.deep m (Runtime.alloc_value m v))
+        | Error f -> Alcotest.failf "resume failed: %a" Runtime.pp_failure f);
         let total = (M.stats m).Stats.steps in
         (* Restarting from scratch would re-run everything: resuming must
            cost less than the original prefix. *)
@@ -190,18 +190,18 @@ let suite =
     tc "interrupted-then-resumed equals uninterrupted" (fun () ->
         let expected, _ = M.run_deep (parse "product (enumFromTo 1 10)") in
         let m = M.create () in
-        M.inject_async m ~at_step:50 E.Interrupt;
+        Runtime.inject_async m ~at_step:50 E.Interrupt;
         let a = M.alloc m (parse "product (enumFromTo 1 10)") in
         (match M.force_catch m a with
         | Error (M.Fail_async E.Interrupt) -> ()
         | Ok _ -> Alcotest.fail "expected interruption"
-        | Error f -> Alcotest.failf "unexpected %a" M.pp_failure f);
+        | Error f -> Alcotest.failf "unexpected %a" Runtime.pp_failure f);
         match M.force_catch m a with
         | Ok v ->
             Alcotest.check deep "value"
               expected
-              (M.deep m (M.alloc_value m v))
-        | Error f -> Alcotest.failf "resume failed: %a" M.pp_failure f);
+              (M.deep m (Runtime.alloc_value m v))
+        | Error f -> Alcotest.failf "resume failed: %a" Runtime.pp_failure f);
     tc "unsafeGetException on the machine" (fun () ->
         check_run "ok" (Value.DCon ("OK", [ dint 12 ]))
           "unsafeGetException (5 + 7)";
@@ -219,16 +219,16 @@ let suite =
         Alcotest.(check bool) "stack" true (stats.Stats.max_stack > 2));
     tc "repeated async injection: pause cells never lose work" (fun () ->
         let m = M.create () in
-        M.inject_async m ~at_step:500 E.Timeout;
-        M.inject_async m ~at_step:1_500 E.Interrupt;
-        M.inject_async m ~at_step:2_500 E.Heap_exhaustion;
+        Runtime.inject_async m ~at_step:500 E.Timeout;
+        Runtime.inject_async m ~at_step:1_500 E.Interrupt;
+        Runtime.inject_async m ~at_step:2_500 E.Heap_exhaustion;
         let a = M.alloc m (parse "sum (enumFromTo 1 3000)") in
         let rec go acc =
           match M.force_catch m a with
           | Error (M.Fail_async e) -> go (e :: acc)
-          | Ok (M.MInt n) -> (List.rev acc, n)
+          | Ok (Runtime.MInt n) -> (List.rev acc, n)
           | Ok _ -> Alcotest.fail "non-int result"
-          | Error f -> Alcotest.failf "unexpected %a" M.pp_failure f
+          | Error f -> Alcotest.failf "unexpected %a" Runtime.pp_failure f
         in
         let delivered, n = go [] in
         Alcotest.(check int) "value despite three interruptions" 4_501_500 n;
@@ -244,7 +244,7 @@ let suite =
         (match M.force_catch m a with
         | Error (M.Fail_exn E.Heap_overflow) -> ()
         | Ok _ -> Alcotest.fail "expected HeapOverflow"
-        | Error f -> Alcotest.failf "unexpected %a" M.pp_failure f);
+        | Error f -> Alcotest.failf "unexpected %a" Runtime.pp_failure f);
         Alcotest.(check bool)
           "counted" true
           ((M.stats m).Stats.heap_overflows > 0);
@@ -253,9 +253,9 @@ let suite =
         ignore (M.gc m ~roots:[]);
         let b = M.alloc m (parse "sum (enumFromTo 1 10)") in
         match M.force_catch m b with
-        | Ok (M.MInt 55) -> ()
+        | Ok (Runtime.MInt 55) -> ()
         | Ok _ -> Alcotest.fail "wrong value after recovery"
-        | Error f -> Alcotest.failf "post-gc failure: %a" M.pp_failure f);
+        | Error f -> Alcotest.failf "post-gc failure: %a" Runtime.pp_failure f);
     tc "stack limit raises catchable StackOverflow" (fun () ->
         let m =
           M.create ~config:{ M.default_config with stack_limit = Some 100 } ()
@@ -269,5 +269,5 @@ let suite =
               "counted" true
               ((M.stats m).Stats.stack_overflows > 0)
         | Ok _ -> Alcotest.fail "expected StackOverflow"
-        | Error f -> Alcotest.failf "unexpected %a" M.pp_failure f);
+        | Error f -> Alcotest.failf "unexpected %a" Runtime.pp_failure f);
   ]

@@ -41,7 +41,7 @@ let suite =
         (match M.force_catch m (M.alloc m (parse "sum [1, 1/0, 3]")) with
         | Error (M.Fail_exn E.Divide_by_zero) -> ()
         | _ -> Alcotest.fail "catch");
-        Alcotest.(check int) "no events" 0 (Obs.seen (M.trace m)));
+        Alcotest.(check int) "no events" 0 (Obs.seen (Runtime.trace m)));
     tc "machine raises carry their raise-site label" (fun () ->
         let tr = Obs.create ~on:true () in
         let m = M.create ~trace:tr () in
@@ -51,7 +51,7 @@ let suite =
         (match List.filter_map raise_label (Obs.events tr) with
         | [ (E.Divide_by_zero, "div") ] -> ()
         | _ -> Alcotest.fail "expected one raise labelled div");
-        (match M.origin_of m E.Divide_by_zero with
+        (match Runtime.origin_of m E.Divide_by_zero with
         | Some o ->
             Alcotest.(check string) "origin label" "div" o.Obs.label;
             Alcotest.(check bool) "step recorded" true (o.Obs.step > 0)
@@ -72,7 +72,7 @@ let suite =
         | Error (M.Fail_exn E.Divide_by_zero) -> ()
         | _ -> Alcotest.fail "first");
         let origin0 =
-          match M.origin_of m E.Divide_by_zero with
+          match Runtime.origin_of m E.Divide_by_zero with
           | Some o -> o
           | None -> Alcotest.fail "origin after first raise"
         in

@@ -16,7 +16,7 @@ let run_sliced ?(pauses = 0) ?(slice = 500) ?(between = fun () -> ()) src =
   let a = Machine.alloc m (parse src) in
   let rec go remaining =
     if remaining > 0 then
-      Machine.inject_async m
+      Runtime.inject_async m
         ~at_step:((Machine.stats m).Stats.steps + slice)
         Exn.Timeout;
     match Machine.force_catch m a with
@@ -24,7 +24,7 @@ let run_sliced ?(pauses = 0) ?(slice = 500) ?(between = fun () -> ()) src =
     | Error (Machine.Fail_async Exn.Timeout) when remaining > 0 ->
         between ();
         go (remaining - 1)
-    | Error f -> Alcotest.failf "unexpected failure: %a" Machine.pp_failure f
+    | Error f -> Alcotest.failf "unexpected failure: %a" Runtime.pp_failure f
   in
   go pauses
 
@@ -197,7 +197,7 @@ let suite =
           match Machine.force_catch m a with
           | Ok _ -> Machine.deep m a
           | Error f ->
-              Alcotest.failf "unexpected failure: %a" Machine.pp_failure f
+              Alcotest.failf "unexpected failure: %a" Runtime.pp_failure f
         in
         let c1 = Resolve.new_context () in
         let c2 = Resolve.new_context () in

@@ -18,19 +18,19 @@ let config_m = { M.default_config with fuel = 2_000_000 }
 let interrupted_resume_agree src =
   let expected, _ = M.run_deep (parse src) in
   let m = M.create () in
-  M.inject_async m ~at_step:50 E.Interrupt;
+  Runtime.inject_async m ~at_step:50 E.Interrupt;
   let a = M.alloc m (parse src) in
   (match M.force_catch m a with
   | Error (M.Fail_async E.Interrupt) -> ()
   | Ok _ -> Alcotest.fail "slot: expected interruption"
-  | Error f -> Alcotest.failf "slot: unexpected %a" M.pp_failure f);
+  | Error f -> Alcotest.failf "slot: unexpected %a" Runtime.pp_failure f);
   Alcotest.(check bool)
     "slot machine paused work" true
     ((M.stats m).Stats.thunks_paused > 0);
   let resumed =
     match M.force_catch m a with
-    | Ok v -> M.deep m (M.alloc_value m v)
-    | Error f -> Alcotest.failf "slot: resume failed: %a" M.pp_failure f
+    | Ok v -> M.deep m (Runtime.alloc_value m v)
+    | Error f -> Alcotest.failf "slot: resume failed: %a" Runtime.pp_failure f
   in
   Alcotest.check deep "slot resume = uninterrupted" expected resumed
 
@@ -60,7 +60,7 @@ let suite =
             let run_slot () =
               let m = M.create ~config:config_m () in
               Option.iter
-                (fun (k, x) -> M.inject_async m ~at_step:k x)
+                (fun (k, x) -> Runtime.inject_async m ~at_step:k x)
                 async;
               ignore (M.force_catch m (M.alloc m (parse src)));
               M.stats m
@@ -68,7 +68,7 @@ let suite =
             let run_bc () =
               let m = B.create ~config:config_m (B.compile_expr (parse src)) in
               Option.iter
-                (fun (k, x) -> B.inject_async m ~at_step:k x)
+                (fun (k, x) -> Runtime.inject_async m ~at_step:k x)
                 async;
               ignore (B.force_catch m (B.entry m));
               B.stats m
