@@ -107,6 +107,33 @@ let machine_steps ?(config = Machine.default_config) e =
   let _, stats = Machine.run_deep ~config e in
   stats.Stats.steps
 
+(* The pure programs of the committed fuzz corpus, which Tables O and S
+   replay, found by {!Corpus.find_dir} so the tables read the same
+   programs wherever the binary is started. A missing corpus, an empty
+   one or an entry that does not parse ends the run. *)
+let pure_corpus =
+  lazy
+    (let fail fmt =
+       Fmt.kstr
+         (fun msg ->
+           Fmt.epr "bench: %s@." msg;
+           exit 1)
+         fmt
+     in
+     match Corpus.find_dir () with
+     | Error tried ->
+         fail "no fuzz/corpus directory; tried %s" (String.concat ", " tried)
+     | Ok dir -> (
+         match Corpus.load_dir dir with
+         | _, (_ :: _ as errors) ->
+             fail "%s: %s" dir
+               (String.concat "; "
+                  (List.map (fun (f, e) -> f ^ ": " ^ e) errors))
+         | entries, [] -> (
+             match Corpus.pure entries with
+             | [] -> fail "%s holds no pure program" dir
+             | pure -> pure)))
+
 (* ------------------------------------------------------------------ *)
 (* Table L — the Section 4.5 law table (claim C5/E6)                   *)
 (* ------------------------------------------------------------------ *)
@@ -241,16 +268,7 @@ let table_opt () =
      slot-machine steps and bytecode dispatches, original vs optimised,
      plus the linter's share of pipeline wall time. The reductions and
      the lint-overhead bound are asserted, not just printed. *)
-  let entries, _unparsable = Corpus.load_dir "fuzz/corpus" in
-  let entries = if entries = [] then Corpus.dictionary () else entries in
-  let pure =
-    List.filter
-      (fun e ->
-        match e.Corpus.mode with
-        | Corpus.M_int | Corpus.M_list | Corpus.M_any -> true
-        | _ -> false)
-      entries
-  in
+  let pure = Lazy.force pure_corpus in
   let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9 in
   let lint_time = ref 0.0 and lint_checks = ref 0 in
   let run_once () =
@@ -892,15 +910,11 @@ let table_bytecode () =
   let best =
     List.fold_left (fun a (_, _, _, _, _, _, sp) -> max a sp) 0.0 rows
   in
-  let every =
-    List.for_all (fun (_, _, _, _, _, _, sp) -> sp > 1.0) rows
-  in
-  Fmt.pr "@.best speedup %.2fx; faster on %s workload@." best
-    (if every then "every" else "NOT every");
+  Fmt.pr "@.best speedup %.2fx@." best;
   let json =
     Printf.sprintf
-      "{\"bench\":\"bytecode\",\"wallclock\":true,\"best_speedup\":%.2f,\"speedup_on_every_workload\":%b,\"rows\":[%s]}\n"
-      best every
+      "{\"bench\":\"bytecode\",\"wallclock\":true,\"best_speedup\":%.2f,\"rows\":[%s]}\n"
+      best
       (String.concat ","
          (List.map
             (fun (name, (sts : Stats.t), (stb : Stats.t), ic_rate, ts, tb,
@@ -1126,30 +1140,23 @@ let table_asyncexn () =
 
 (* ---- Table S: evaluation-as-a-service under load ------------------ *)
 
-(* Replays the fuzz corpus (falling back to the built-in dictionary)
-   through one serve engine — every program twice, so the second round
+(* Replays the pure programs of the fuzz corpus through one serve
+   engine — every program twice, so the second round
    exercises the compiled-program cache — measuring per-request
    wall-clock latency and overall throughput. A second, fault-mode
    round mixes the five canonical killers (heap bomb, stack bomb, fuel
    burner, black hole, spinner-with-timeout) with well-behaved
    requests and asserts the latter still succeed: degradation is
-   per-request, never service-wide. Two front-end rows follow: what
-   resolving one wrapped corpus program costs in a fresh context and in
-   a context that already holds the resolved Prelude. Emitted as
+   per-request, never service-wide. Two front-end rows follow, each on
+   the largest pure corpus program and each gated at 1/20: what
+   resolving it costs in a fresh context and in a context that already
+   holds the resolved Prelude, and the code words its bytecode compile
+   emits in full and against the held Prelude segment. Emitted as
    BENCH_S.json. *)
 let table_serve () =
   header
     "Table S: serve daemon under corpus replay + fault mix, both backends";
-  let entries, _unparsable = Corpus.load_dir "fuzz/corpus" in
-  let entries = if entries = [] then Corpus.dictionary () else entries in
-  let pure =
-    List.filter
-      (fun e ->
-        match e.Corpus.mode with
-        | Corpus.M_int | Corpus.M_list | Corpus.M_any -> true
-        | _ -> false)
-      entries
-  in
+  let pure = Lazy.force pure_corpus in
   (* One full load-generator round — corpus replay (twice, so the
      compiled-program cache must hit) plus the fault mix — against one
      engine running the given backend. The serve differential test
@@ -1304,11 +1311,31 @@ let table_serve () =
     memo_words;
   Fmt.pr "%-26s %12.0f %12.0f  (fresh/held %.0fx)@." "resolve time (min ns)"
     t_fresh.min_ns t_memo.min_ns ratio;
+  (* Bytecode compile's fixed cost: a full compile emits every Prelude
+     binding again, a compile against the held segment only the body.
+     The words are the code words one miss emits, a deterministic count;
+     the segment is built once, outside the timed thunk, as a serve
+     engine builds it once. *)
+  let rx = Resolve.expr wrapped in
+  let segment = Differ.prelude_segment () in
+  let full () = Bytecode.compile rx and appended () = Bytecode.compile ~segment rx in
+  let full_code = Bytecode.emitted_words (full ())
+  and held_code = Bytecode.emitted_words (appended ()) in
+  let t_full, t_held =
+    time_pair (fun () -> ignore (full ())) (fun () -> ignore (appended ()))
+  in
+  let compile_ratio = t_full.min_ns /. t_held.min_ns in
+  Fmt.pr "@.bytecode compile %s (wrapped):@." probe.Corpus.name;
+  Fmt.pr "%-26s %12s %12s@." "metric" "fresh" "Prelude held";
+  Fmt.pr "%-26s %12d %12d@." "code words emitted" full_code held_code;
+  Fmt.pr "%-26s %12.0f %12.0f  (fresh/held %.0fx)@." "compile time (min ns)"
+    t_full.min_ns t_held.min_ns compile_ratio;
   let json =
     Printf.sprintf
-      "{\"bench\":\"serve\",\"wallclock\":true,\"resolve\":{\"program\":%S,\"fresh_minor_words\":%.0f,\"memo_minor_words\":%.0f,\"fresh_min_ns\":%.0f,\"memo_min_ns\":%.0f,\"fresh_over_memo\":%.1f,\"trials\":%d},\"backends\":[%s]}\n"
+      "{\"bench\":\"serve\",\"wallclock\":true,\"resolve\":{\"program\":%S,\"fresh_minor_words\":%.0f,\"memo_minor_words\":%.0f,\"fresh_min_ns\":%.0f,\"memo_min_ns\":%.0f,\"fresh_over_memo\":%.1f,\"trials\":%d},\"compile\":{\"program\":%S,\"fresh_code_words\":%d,\"held_code_words\":%d,\"fresh_min_ns\":%.0f,\"held_min_ns\":%.0f,\"fresh_over_held\":%.1f,\"trials\":%d},\"backends\":[%s]}\n"
       probe.Corpus.name fresh_words memo_words t_fresh.min_ns t_memo.min_ns
-      ratio t_fresh.trials
+      ratio t_fresh.trials probe.Corpus.name full_code held_code
+      t_full.min_ns t_held.min_ns compile_ratio t_full.trials
       (String.concat ","
          (List.map
             (fun ( bname,
@@ -1332,6 +1359,13 @@ let table_serve () =
       "table_serve: resolving with the Prelude held allocated %.0f words, \
        more than 1/20 of a fresh resolution's %.0f@."
       memo_words fresh_words;
+    exit 1
+  end;
+  if held_code * 20 > full_code then begin
+    Fmt.epr
+      "table_serve: compiling against the held Prelude emitted %d code \
+       words, more than 1/20 of a full compile's %d@."
+      held_code full_code;
     exit 1
   end
 

@@ -726,14 +726,7 @@ let smoke_serve engine =
     | Error Machine.Fail_diverged ->
         Printf.sprintf "err %s quota:fuel" id
   in
-  let pure =
-    List.filter
-      (fun e ->
-        match e.Corpus.mode with
-        | Corpus.M_int | Corpus.M_list | Corpus.M_any -> true
-        | _ -> false)
-      (Corpus.dictionary ())
-  in
+  let pure = Corpus.pure (Corpus.dictionary ()) in
   (* Under [--optimize] the engine runs the linted pipeline before
      resolution, so the reference must evaluate the same optimised term —
      the smoke then differentially checks serve's optimise+compile path

@@ -242,3 +242,27 @@ let load_dir dir =
         | Error msg -> (oks, (f, msg) :: errs))
       ([], []) files
     |> fun (oks, errs) -> (List.rev oks, List.rev errs)
+
+let pure entries =
+  List.filter
+    (fun e ->
+      match e.mode with
+      | M_int | M_list | M_any -> true
+      | M_io | M_conc -> false)
+    entries
+
+let find_dir () =
+  let exe =
+    if Filename.is_relative Sys.executable_name then
+      Filename.concat (Sys.getcwd ()) Sys.executable_name
+    else Sys.executable_name
+  in
+  let rec up tried dir =
+    let p = Filename.concat dir "fuzz/corpus" in
+    if Sys.file_exists p && Sys.is_directory p then Ok p
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then Error (List.rev (p :: tried))
+      else up (p :: tried) parent
+  in
+  up [] (Filename.dirname exe)

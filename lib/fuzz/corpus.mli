@@ -43,3 +43,12 @@ val load_dir : string -> entry list * (string * string) list
 (** All [*.impexn] files under the directory (sorted), parsed; second
     component is the unparsable files with their errors. A missing
     directory is an empty corpus. *)
+
+val pure : entry list -> entry list
+(** The entries for the pure harness: modes [int], [list] and [any]. *)
+
+val find_dir : unit -> (string, string list) result
+(** The committed corpus: [fuzz/corpus] in the running executable's
+    directory or its nearest ancestor that has one, so a binary built
+    under the repository's [_build] finds it wherever it is started.
+    [Error tried] lists every path looked at. *)

@@ -190,7 +190,14 @@ let finish ?(extra = []) tr note violations =
 (* Pure terms: five evaluators                                         *)
 (* ------------------------------------------------------------------ *)
 
-let check_pure ?cov v t =
+(* A campaign's Prelude segment: the global context's resolved Prelude,
+   compiled to bytecode once, as a serve engine holds it. *)
+let prelude_segment () =
+  match Lang.Resolve.expr (Lang.Prelude.wrap (Lit (Lit_int 0))) with
+  | Lang.Resolve.RLetrec (specs, _) -> Bytecode.segment specs
+  | _ -> invalid_arg "Differ.prelude_segment: a wrapped term is a letrec"
+
+let check_pure ?cov ~segment v t =
   let w = Lang.Prelude.wrap t in
   let tr = Obs.create ~capacity:1024 ~on:true () in
   let violations = ref [] in
@@ -198,8 +205,10 @@ let check_pure ?cov v t =
   let pd = Fmt.str "%a" V.pp_deep in
   let denot w = Denot.run_deep ~config:(denot_config v) ~depth:v.depth w in
   (* The four implementations on one term [w] against its denotation
-     [dl]; [prefix] keeps the optimised term's check names apart. *)
-  let implementations ~prefix w dl =
+     [dl]; [prefix] keeps the optimised term's check names apart. The
+     raw term's bytecode compiles against [segment], as a serve miss
+     does; the optimised term's compiles in full. *)
+  let implementations ?segment ~prefix w dl =
     let flag check = flag (prefix ^ check) in
     let m = Stg.create ~config:(stg_config v) ~trace:tr () in
     let d_stg = Stg.deep ~depth:v.depth m (Stg.alloc m w) in
@@ -211,7 +220,7 @@ let check_pure ?cov v t =
     (* The flat bytecode backend shares the slot machine's config. *)
     let mb =
       Bytecode.create ~config:(stg_config v) ~trace:tr
-        (Bytecode.compile (Lang.Resolve.expr w))
+        (Bytecode.compile ?segment (Lang.Resolve.expr w))
     in
     let d_bc = Bytecode.deep ~depth:v.depth mb (Bytecode.entry mb) in
     ignore (Bytecode.force_catch mb (Bytecode.entry mb));
@@ -252,7 +261,7 @@ let check_pure ?cov v t =
     note_cov cov tr [ Stg.stats m; Bytecode.stats mb ] []
   in
   let dl = denot w in
-  implementations ~prefix:"" w dl;
+  implementations ~segment ~prefix:"" w dl;
   (* Optimized variants: run the imprecise pipeline (every pass
      linted) and re-run each evaluator on its output. The optimiser
      may only gain information (denot ⊑ denot of optimised), every

@@ -73,8 +73,21 @@ type result = {
       (** Flight-recorder dump of the run, present iff violations. *)
 }
 
-val check_pure : ?cov:Coverage.t -> vconfig -> Lang.Syntax.expr -> result
-(** Cross-check one pure term (open over the Prelude). *)
+val prelude_segment : unit -> Machine.Bytecode.segment
+(** The global resolution context's Prelude compiled to bytecode once:
+    what a serve engine holds, for a campaign to hold likewise. *)
+
+val check_pure :
+  ?cov:Coverage.t ->
+  segment:Machine.Bytecode.segment ->
+  vconfig ->
+  Lang.Syntax.expr ->
+  result
+(** Cross-check one pure term (open over the Prelude). The raw term's
+    bytecode compiles against [segment] (from {!prelude_segment}), only
+    its body after the held Prelude, the path a serve miss takes; the
+    optimised term's compiles in full, so both compile paths meet
+    [stg-vs-bytecode] and [bytecode-implements-denot]. *)
 
 val check_io :
   ?cov:Coverage.t -> vconfig -> seed:int -> Lang.Syntax.expr -> result

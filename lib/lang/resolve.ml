@@ -376,6 +376,8 @@ let expr ?(ctx = global_context) (e : expr) : rexpr =
       RLetrec (p.pspecs, resolve st [ p.pframe ] body)
   | _ -> resolve { rctx = ctx; next_site = 0 } [] e
 
+let held_prelude ctx = Option.map (fun p -> p.pspecs) ctx.prelude
+
 (* ------------------------------------------------------------------ *)
 (* Static accounting (for tests and docs)                              *)
 (* ------------------------------------------------------------------ *)

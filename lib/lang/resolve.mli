@@ -91,6 +91,13 @@ val expr : ?ctx:context -> Syntax.expr -> rexpr
     mutated. A copy of the bindings list, or the same list under a
     nested [Letrec], takes the full path. *)
 
+val held_prelude : context -> tspec array option
+(** The spec array of the context's resolved Prelude, which every
+    wrapped program's root [RLetrec] resolved in it shares, or [None]
+    until {!expr} first resolves a wrapped program there. Never fills
+    it, so asking costs nothing on a context that resolves only other
+    terms. *)
+
 val con_tag : ?ctx:context -> string -> int
 (** Intern a constructor name (idempotent; builtins are pre-interned in
     {!Con_info.builtin_list} order, so their tags are stable). *)

@@ -21,9 +21,11 @@
    Every case site owns a monomorphic inline cache (tag, binder count,
    branch pc): constructor returns check it first ([Stats.ic_hits]) and
    fall back to the alternative-table walk on a miss, which refills the
-   cache ([Stats.ic_misses]). The cache lives in the shared program —
-   sound across machines, because a site's tag-to-branch mapping is a
-   pure function of the static table.
+   cache ([Stats.ic_misses]). The cache lives in the program, which the
+   machines running it share — sound, because a site's tag-to-branch
+   mapping is a pure function of the static table. No two programs
+   share a site: a program compiled against a held {!segment} (the
+   Prelude, compiled once) gets fresh copies of the segment's sites.
 
    The exception machinery is the {!Runtime} this shares with the slot
    machine; this module keeps its compiler, frames, packed slot lookup
@@ -107,40 +109,90 @@ type program = {
   tspecs : tspec_info array;
   cases : case_site array;
   prims : prim_site array;
+  emitted : int;  (* code words this compile emitted itself *)
 }
 
 let code_words p = Array.length p.code
+let emitted_words p = p.emitted
+
+(* A root letrec group compiled once: its bindings' code and sub-blocks,
+   then the group's [op_letrec] header at [base.entry], the last words
+   of [base.code], so a program's body emitted next is what the header
+   falls through into. [held] is the spec array it was compiled from,
+   recognised by physical identity. *)
+type segment = { held : R.tspec array; base : program }
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* An accumulating pool: add returns the index, freeze returns the
-   array in insertion order. *)
-let pool () =
-  let items = ref [] and n = ref 0 in
+(* An accumulating pool seeded with [base]: add returns the index,
+   freeze returns [base] followed by the additions in order. *)
+let pool base =
+  let items = ref [] and n = ref (Array.length base) in
   let add x =
     let i = !n in
     items := x :: !items;
     incr n;
     i
   in
-  let freeze () = Array.of_list (List.rev !items) in
+  let freeze () =
+    let added = Array.of_list (List.rev !items) in
+    if Array.length base = 0 then added else Array.append base added
+  in
   (add, freeze)
 
-let compile (root : R.rexpr) : program =
+let empty =
+  {
+    code = [||];
+    entry = 0;
+    app_pc = -1;
+    strs = [||];
+    lams = [||];
+    tspecs = [||];
+    cases = [||];
+    prims = [||];
+    emitted = 0;
+  }
+
+(* The one emitter. Code and pools continue from [base]: [empty] for a
+   fresh compile, a held segment's for a program appended to it. Only
+   the case sites are copied, so every program owns its inline caches;
+   the other templates are final once their segment is built and are
+   shared. [lay_out] emits the new blocks through these operations and
+   answers the entry and [$f $x] template pcs. *)
+type emitter = {
+  here : unit -> int;
+  emit_tail : R.rexpr -> unit;
+  add_tspec : R.tspec -> int;
+  letrec_header : int array -> unit;
+  drain : unit -> unit;  (* emit every queued sub-block *)
+}
+
+let assemble (base : program) (lay_out : emitter -> int * int) : program =
+  let off = Array.length base.code in
   let code = Growarray.create ~dummy:0 () in
   let emit w = ignore (Growarray.push code w) in
-  let here () = Growarray.length code in
-  let add_str, freeze_strs = pool () in
-  let add_lam, freeze_lams = pool () in
-  let add_tspec_info, freeze_tspecs = pool () in
-  let add_case, freeze_cases = pool () in
-  let add_prim, freeze_prims = pool () in
+  let here () = off + Growarray.length code in
+  let add_str, freeze_strs = pool base.strs in
+  let add_lam, freeze_lams = pool base.lams in
+  let add_tspec_info, freeze_tspecs = pool base.tspecs in
+  let add_case, freeze_cases =
+    pool
+      (Array.map
+         (fun c -> { c_alts = c.c_alts; ic_tag = -1; ic_nb = -1; ic_pc = -1 })
+         base.cases)
+  in
+  let add_prim, freeze_prims = pool base.prims in
   (* Sub-blocks (λ and thunk bodies, case branches, prim arguments past
      the first) are queued and emitted after the current linear block,
      each job patching its entry pc into the pool record that owns it. *)
   let pending : (unit -> unit) Queue.t = Queue.create () in
+  let letrec_header tspec_idxs =
+    emit op_letrec;
+    emit (Array.length tspec_idxs);
+    Array.iter emit tspec_idxs
+  in
   let rec add_tspec (sp : R.tspec) : int =
     let info = { t_caps = Array.map pack sp.R.caps; t_pc = -1 } in
     let i = add_tspec_info info in
@@ -250,9 +302,7 @@ let compile (root : R.rexpr) : program =
         emit (add_tspec sp);
         emit_tail body
     | R.RLetrec (specs, body) ->
-        emit op_letrec;
-        emit (Array.length specs);
-        Array.iter (fun sp -> emit (add_tspec sp)) specs;
+        letrec_header (Array.map add_tspec specs);
         emit_tail body
     | R.RPrim (p, []) ->
         emit op_prim0;
@@ -286,18 +336,17 @@ let compile (root : R.rexpr) : program =
         emit op_push_catch;
         emit_tail v
   in
-  let entry = here () in
-  emit_tail root;
-  (* The shared application template [$f $x] over a [|f; x|] frame. *)
-  let app_pc = here () in
-  emit op_app_enter;
-  emit (-pack { R.frame = 0; R.idx = 1 } - 1);
-  emit (pack { R.frame = 0; R.idx = 0 });
-  while not (Queue.is_empty pending) do
-    (Queue.pop pending) ()
-  done;
+  let drain () =
+    while not (Queue.is_empty pending) do
+      (Queue.pop pending) ()
+    done
+  in
+  let entry, app_pc =
+    lay_out { here; emit_tail; add_tspec; letrec_header; drain }
+  in
+  let own = Array.init (Growarray.length code) (Growarray.get code) in
   {
-    code = Array.init (Growarray.length code) (Growarray.get code);
+    code = (if off = 0 then own else Array.append base.code own);
     entry;
     app_pc;
     strs = freeze_strs ();
@@ -305,7 +354,41 @@ let compile (root : R.rexpr) : program =
     tspecs = freeze_tspecs ();
     cases = freeze_cases ();
     prims = freeze_prims ();
+    emitted = Array.length own;
   }
+
+(* The bindings' bodies are drained first, so that the header is the
+   segment's last instruction. The segment is never run on its own: it
+   has no application template, and its case sites are only copied. *)
+let segment (specs : R.tspec array) : segment =
+  let base =
+    assemble empty (fun e ->
+        let idxs = Array.map e.add_tspec specs in
+        e.drain ();
+        let entry = e.here () in
+        e.letrec_header idxs;
+        (entry, -1))
+  in
+  { held = specs; base }
+
+(* Against a segment that holds the root's group, the program starts at
+   the segment's header, which falls through into the body emitted
+   here; any other root compiles in full. *)
+let compile ?segment (root : R.rexpr) : program =
+  let base, entry, block =
+    match (segment, root) with
+    | Some s, R.RLetrec (specs, body) when specs == s.held ->
+        (s.base, s.base.entry, body)
+    | _ -> (empty, 0, root)
+  in
+  assemble base (fun e ->
+      e.emit_tail block;
+      (* The application template [$f $x] over a [|f; x|] frame. *)
+      let app_pc = e.here () in
+      e.emit_tail
+        (R.RApp (R.RVar { frame = 0; idx = 0 }, R.Aslot { frame = 0; idx = 1 }));
+      e.drain ();
+      (entry, app_pc))
 
 let compile_expr ?ctx e = compile (R.expr ?ctx e)
 

@@ -26,19 +26,44 @@ type program
 (** A compiled program: frozen code array plus constant pools (strings,
     closure and thunk templates, case sites with their inline caches,
     prim sites, raise labels). Compile once, run on any number of
-    machines; sharing is sound because a case site's tag-to-branch
-    mapping is static, so its inline cache is valid across machines. *)
+    machines; the machines running one program share its inline caches,
+    which is sound because a case site's tag-to-branch mapping is
+    static. Two programs never share a case site, even when both are
+    compiled against one {!segment}. *)
 
-val compile : Lang.Resolve.rexpr -> program
-(** Compile resolved IR. Compilation is context-free: tags are already
-    interned ints, so the resolving context is only needed again at
-    runtime (pass it to {!create} as [rctx]). *)
+type segment
+(** A root letrec group compiled once — in practice the Prelude, which
+    every {!Lang.Prelude.wrap}ped program of a resolution context holds
+    as the same spec array: the bindings' code and sub-blocks, then the
+    group's letrec header, so a program's body appended after it is what
+    the header falls through into. *)
+
+val segment : Lang.Resolve.tspec array -> segment
+(** Compile a root letrec group's bindings into a segment. The array is
+    recognised by physical identity: pass the one the programs' roots
+    hold ({!Lang.Resolve.held_prelude}). *)
+
+val compile : ?segment:segment -> Lang.Resolve.rexpr -> program
+(** Compile resolved IR. A root [RLetrec (specs, body)] whose [specs] is
+    physically the [segment]'s starts from the segment's code and pools
+    and emits only [body], its sub-blocks and the application template;
+    the program gets fresh copies of the segment's case sites. Any other
+    root compiles in full, exactly as without a segment. Both ways give
+    the same code words, values and machine counters.
+
+    Compilation is context-free: tags are already interned ints, so the
+    resolving context is only needed again at runtime (pass it to
+    {!create} as [rctx]). *)
 
 val compile_expr : ?ctx:Lang.Resolve.context -> Lang.Syntax.expr -> program
 (** Resolve then compile a closed source expression. *)
 
 val code_words : program -> int
 (** Length of the frozen code array, in words (static accounting). *)
+
+val emitted_words : program -> int
+(** The code words this program's compile emitted: {!code_words} less
+    the segment it started from, all of them on a full compile. *)
 
 type mvalue = int Runtime.mvalue
 (** A closure holds an index into the program's template pool and its

@@ -153,6 +153,10 @@ type t = {
   cfg : config;
   cache : (string, cache_entry) Hashtbl.t;
   mutable cache_clock : int;
+  mutable segment : B.segment option;
+      (* The Prelude compiled to bytecode once, at the first bytecode
+         miss whose root holds the resolved Prelude; see
+         [prelude_segment]. *)
   c : counters;
   agg : Stats.t;
       (* Machine counters accumulated over every finished request —
@@ -208,6 +212,7 @@ let create ?(config = default_config) () =
     cfg = config;
     cache = Hashtbl.create 64;
     cache_clock = 0;
+    segment = None;
     c = new_counters ();
     agg = Stats.create ();
     inflight = [];
@@ -218,6 +223,7 @@ let counters t = t.c
 let machine_totals t = t.agg
 let inflight t = List.length t.inflight
 let cache_size t = Hashtbl.length t.cache
+let holds_prelude_segment t = Option.is_some t.segment
 let config t = t.cfg
 
 (* ------------------------------------------------------------------ *)
@@ -260,7 +266,8 @@ let reply_err s id kind detail =
    Prelude letrec shares one spec array; an entry's own IR is its body.
    Under [optimize] the pipeline prunes the Prelude group, so the term
    is no longer the shared list and resolves in full. A bytecode entry
-   still compiles the whole Prelude. *)
+   of an unoptimised program compiles only its body, against the
+   engine's Prelude segment ([bytecode_of]). *)
 
 let cache_touch t e =
   t.cache_clock <- t.cache_clock + 1;
@@ -338,14 +345,28 @@ let compile t src : (cache_entry, string * string * string option) result =
                       violations,
                     Some dump )))
 
+(* The engine's Prelude segment, for a root that holds the global
+   context's resolved Prelude: built at the first such bytecode miss,
+   then kept for the engine's life. An optimised root holds a pruned
+   group, so an engine that only sees optimised programs builds none. *)
+let prelude_segment t (rx : R.rexpr) =
+  match (t.segment, rx, R.held_prelude R.global_context) with
+  | Some _, _, _ -> t.segment
+  | None, R.RLetrec (specs, _), Some held when specs == held ->
+      t.segment <- Some (B.segment held);
+      t.segment
+  | None, _, _ -> None
+
 (* Under the [Bytecode] backend the cache's unit of reuse is the
    compiled program, not the slot IR: compile on first use, then share
-   (the program's inline caches stay warm across requests). *)
-let bytecode_of (entry : cache_entry) =
+   (the program's inline caches stay warm across requests). A wrapped
+   program's miss emits only its body after the Prelude segment, and
+   gets its own copy of the segment's case sites. *)
+let bytecode_of t (entry : cache_entry) =
   match entry.bc with
   | Some p -> p
   | None ->
-      let p = B.compile entry.rx in
+      let p = B.compile ?segment:(prelude_segment t entry.rx) entry.rx in
       entry.bc <- Some p;
       p
 
@@ -575,7 +596,7 @@ let submit t (s : session) (id : string) (o : opts) (src : string) =
             let m = M.create ~config ~trace () in
             admit m (M.alloc_resolved m entry.rx) M.force_catch M.deep
         | Bytecode ->
-            let m = B.create ~config ~trace (bytecode_of entry) in
+            let m = B.create ~config ~trace (bytecode_of t entry) in
             admit m (B.entry m) B.force_catch B.deep
 
 (* ------------------------------------------------------------------ *)

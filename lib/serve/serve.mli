@@ -115,6 +115,12 @@ val inflight : t -> int
 
 val cache_size : t -> int
 
+val holds_prelude_segment : t -> bool
+(** Whether the engine has compiled the Prelude to bytecode once, as the
+    segment an unoptimised program's bytecode miss appends its body to.
+    It is built at the first such miss, so an engine on the slot backend
+    or under [optimize] holds none. *)
+
 val stats_json : t -> string
 (** The [stats] verb's one-line JSON export. *)
 

@@ -4,6 +4,15 @@ open Imprecise
 let parse = Imprecise.parse
 let parse_raw = Imprecise.parse_raw
 
+(* The committed fuzz corpus directory. *)
+let corpus_dir =
+  lazy
+    (match Corpus.find_dir () with
+    | Ok d -> d
+    | Error tried ->
+        Alcotest.failf "fuzz/corpus not found; tried %s"
+          (String.concat ", " tried))
+
 (* Alcotest testables *)
 
 let deep : Value.deep Alcotest.testable =

@@ -41,15 +41,6 @@ let resolve_full = function
       Resolve.expr (Syntax.Letrec (List.map Fun.id defs, body))
   | _ -> Alcotest.fail "not a wrapped program"
 
-let corpus_dir =
-  lazy
-    (match
-       List.find_opt Sys.file_exists
-         [ "../fuzz/corpus"; "fuzz/corpus"; "../../fuzz/corpus" ]
-     with
-    | Some d -> d
-    | None -> Alcotest.fail "fuzz/corpus not found")
-
 let suite =
   [
     tc "two interleaved paused machines match their solo baselines"

@@ -99,14 +99,7 @@ let suite =
       (fun () ->
         let engine = Serve.create () in
         let sess = Serve.session engine in
-        let pure =
-          List.filter
-            (fun e ->
-              match e.Corpus.mode with
-              | Corpus.M_int | Corpus.M_list | Corpus.M_any -> true
-              | _ -> false)
-            (Corpus.dictionary ())
-        in
+        let pure = Corpus.pure (Corpus.dictionary ()) in
         Alcotest.(check bool) "dictionary non-trivial" true
           (List.length pure > 10);
         List.iter
@@ -364,14 +357,7 @@ let suite =
               (verb, id, kind)
               (verb', id', kind')
         in
-        let pure =
-          List.filter
-            (fun e ->
-              match e.Corpus.mode with
-              | Corpus.M_int | Corpus.M_list | Corpus.M_any -> true
-              | _ -> false)
-            (Corpus.dictionary ())
-        in
+        let pure = Corpus.pure (Corpus.dictionary ()) in
         List.iteri
           (fun i e ->
             agree
@@ -546,4 +532,28 @@ let suite =
           "same answer from the cache" (payload r1) (payload r2);
         Alcotest.(check int) "second request hit the cache" 1
           (Serve.counters engine).Serve.cache_hits);
+    tc "only an unoptimised bytecode engine builds a Prelude segment"
+      (fun () ->
+        (* An optimised root holds a pruned group, never the held
+           Prelude, and the slot backend compiles no bytecode. *)
+        let segment_after config =
+          let engine = Serve.create ~config () in
+          let sess = Serve.session engine in
+          List.iteri
+            (fun i src ->
+              check_prefix src "ok"
+                (eval_one engine sess (Printf.sprintf "s%d" i) "" src))
+            [
+              "sum (enumFromTo 1 50)";
+              "length (filter (\\x -> x > 2) [1, 2, 3, 4])";
+              "head (map (\\x -> x * 2) [4, 5])";
+            ];
+          Serve.holds_prelude_segment engine
+        in
+        let bytecode = { Serve.default_config with Serve.backend = Serve.Bytecode } in
+        Alcotest.(check bool) "bytecode under optimize" false
+          (segment_after { bytecode with Serve.optimize = true });
+        Alcotest.(check bool) "slot" false
+          (segment_after Serve.default_config);
+        Alcotest.(check bool) "bytecode" true (segment_after bytecode));
   ]
