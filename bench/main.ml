@@ -1151,12 +1151,21 @@ let table_asyncexn () =
    the largest pure corpus program and each gated at 1/20: what
    resolving it costs in a fresh context and in a context that already
    holds the resolved Prelude, and the code words its bytecode compile
-   emits in full and against the held Prelude segment. Emitted as
+   emits in full and against the held Prelude segment. Last, what a
+   cache-hit request costs the major heap on each backend, gated at no
+   word allocated there directly and at most 128 promoted. Emitted as
    BENCH_S.json. *)
 let table_serve () =
   header
     "Table S: serve daemon under corpus replay + fault mix, both backends";
   let pure = Lazy.force pure_corpus in
+  let submit sess id opts src =
+    Serve.feed sess
+      (if opts = "" then Printf.sprintf "eval %s" id
+       else Printf.sprintf "eval %s %s" id opts);
+    List.iter (Serve.feed sess) (String.split_on_char '\n' src);
+    Serve.feed sess "."
+  in
   (* One full load-generator round — corpus replay (twice, so the
      compiled-program cache must hit) plus the fault mix — against one
      engine running the given backend. The serve differential test
@@ -1167,13 +1176,7 @@ let table_serve () =
     Serve.create ~config:{ Serve.default_config with Serve.backend } ()
   in
   let sess = Serve.session engine in
-  let submit id opts src =
-    Serve.feed sess
-      (if opts = "" then Printf.sprintf "eval %s" id
-       else Printf.sprintf "eval %s %s" id opts);
-    List.iter (Serve.feed sess) (String.split_on_char '\n' src);
-    Serve.feed sess "."
-  in
+  let submit = submit sess in
   (* Round-trip load generator: submit, run to completion, drain; the
      latency of one request is the full submit-to-reply wall time. *)
   let latencies = ref [] in
@@ -1330,12 +1333,65 @@ let table_serve () =
   Fmt.pr "%-26s %12d %12d@." "code words emitted" full_code held_code;
   Fmt.pr "%-26s %12.0f %12.0f  (fresh/held %.0fx)@." "compile time (min ns)"
     t_full.min_ns t_held.min_ns compile_ratio;
+  (* What a cache-hit request leaves to the major heap: one engine per
+     backend with every pure program cached, then [major_requests]
+     requests round-robin from an empty minor heap. Words allocated
+     directly in the major heap are the major delta less the promoted
+     delta. [Gc.counters], not [Gc.quick_stat], whose word counts only
+     move at a collection. A full major cycle rather than a minor
+     collection starts the run, because the end of a major cycle also
+     empties the minor heap: left mid-cycle by the timed tables above,
+     it would move the promoted count from run to run. *)
+  let major_requests = 2_000 and promoted_bound = 128. in
+  let sources =
+    Array.of_list (List.map (fun e -> Pretty.expr_to_string e.Corpus.expr) pure)
+  in
+  let major_heap backend =
+    let engine =
+      Serve.create ~config:{ Serve.default_config with Serve.backend } ()
+    in
+    let sess = Serve.session engine in
+    let request i =
+      submit sess "m" "" sources.(i mod Array.length sources);
+      Serve.run_all engine;
+      ignore (Serve.drain sess)
+    in
+    Array.iteri (fun i _ -> request i) sources;
+    Gc.full_major ();
+    let _, promoted0, major0 = Gc.counters () in
+    for i = 0 to major_requests - 1 do
+      request i
+    done;
+    let _, promoted1, major1 = Gc.counters () in
+    let per x = x /. float_of_int major_requests in
+    let promoted = promoted1 -. promoted0 in
+    (per (major1 -. major0 -. promoted), per promoted)
+  in
+  let majors =
+    [ ("slot", major_heap Serve.Slot); ("bytecode", major_heap Serve.Bytecode) ]
+  in
+  Fmt.pr "@.major heap per cache-hit request (%d requests, %d programs):@."
+    major_requests (List.length pure);
+  Fmt.pr "%-26s %12s %12s@." "metric" "slot" "bytecode";
+  (match majors with
+  | [ (_, (d1, p1)); (_, (d2, p2)) ] ->
+      Fmt.pr "%-26s %12.1f %12.1f@." "direct major words" d1 d2;
+      Fmt.pr "%-26s %12.1f %12.1f@." "promoted words" p1 p2
+  | _ -> ());
   let json =
     Printf.sprintf
-      "{\"bench\":\"serve\",\"wallclock\":true,\"resolve\":{\"program\":%S,\"fresh_minor_words\":%.0f,\"memo_minor_words\":%.0f,\"fresh_min_ns\":%.0f,\"memo_min_ns\":%.0f,\"fresh_over_memo\":%.1f,\"trials\":%d},\"compile\":{\"program\":%S,\"fresh_code_words\":%d,\"held_code_words\":%d,\"fresh_min_ns\":%.0f,\"held_min_ns\":%.0f,\"fresh_over_held\":%.1f,\"trials\":%d},\"backends\":[%s]}\n"
+      "{\"bench\":\"serve\",\"wallclock\":true,\"resolve\":{\"program\":%S,\"fresh_minor_words\":%.0f,\"memo_minor_words\":%.0f,\"fresh_min_ns\":%.0f,\"memo_min_ns\":%.0f,\"fresh_over_memo\":%.1f,\"trials\":%d},\"compile\":{\"program\":%S,\"fresh_code_words\":%d,\"held_code_words\":%d,\"fresh_min_ns\":%.0f,\"held_min_ns\":%.0f,\"fresh_over_held\":%.1f,\"trials\":%d},\"major_heap\":{\"requests\":%d,\"programs\":%d,\"promoted_bound\":%.0f,\"backends\":[%s]},\"backends\":[%s]}\n"
       probe.Corpus.name fresh_words memo_words t_fresh.min_ns t_memo.min_ns
       ratio t_fresh.trials probe.Corpus.name full_code held_code
-      t_full.min_ns t_held.min_ns compile_ratio t_full.trials
+      t_full.min_ns t_held.min_ns compile_ratio t_full.trials major_requests
+      (List.length pure) promoted_bound
+      (String.concat ","
+         (List.map
+            (fun (bname, (direct, promoted)) ->
+              Printf.sprintf
+                "{\"backend\":%S,\"direct_major_words_per_request\":%.1f,\"promoted_words_per_request\":%.1f}"
+                bname direct promoted)
+            majors))
       (String.concat ","
          (List.map
             (fun ( bname,
@@ -1367,7 +1423,18 @@ let table_serve () =
        words, more than 1/20 of a full compile's %d@."
       held_code full_code;
     exit 1
-  end
+  end;
+  List.iter
+    (fun (bname, (direct, promoted)) ->
+      if direct > 0. || promoted > promoted_bound then begin
+        Fmt.epr
+          "table_serve: a cache-hit request on %s allocated %.1f words \
+           directly in the major heap (want 0) and promoted %.1f (want at \
+           most %.0f)@."
+          bname direct promoted promoted_bound;
+        exit 1
+      end)
+    majors
 
 let () =
   (* [--smoke]: the CI-sized run (Table C' stops at 10k threads). *)

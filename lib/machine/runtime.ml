@@ -80,11 +80,17 @@ type ('body, 'lam, 'frame, 'prog) run =
   ('body, 'lam) code ->
   ('lam mvalue, failure) result
 
+(* OCaml's [Max_young_wosize], the largest array born in the minor heap:
+   a larger start is born in the major heap, and the next minor
+   collection promotes every cell stored into it, machine dead or not
+   (see [create] in the interface). *)
+let initial_heap_slots = 256
+
 let create ?(config = default_config) ?(trace = Obs.create ())
     ?(rctx = R.global_context) prog =
   {
     prog;
-    heap = Growarray.create ~dummy:Cell_unused ();
+    heap = Growarray.create ~capacity:initial_heap_slots ~dummy:Cell_unused ();
     stats = Stats.create ();
     cfg = config;
     rctx;

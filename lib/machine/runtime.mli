@@ -155,7 +155,15 @@ val create :
     the constructor-interning context the machine's code was resolved
     against (default {!Lang.Resolve.global_context}); a machine only
     reads names through its own context, so embedders can sandbox a
-    tenant's constructor vocabulary. *)
+    tenant's constructor vocabulary.
+
+    The heap starts at 256 slots, OCaml's [Max_young_wosize], so a new
+    machine allocates nothing directly in the major heap: its heap array
+    is born in the minor heap and dies there with a short-lived machine
+    such as a serve request's. A larger start would be born in the major
+    heap, and the next minor collection would promote every cell stored
+    into it, machine dead or not. A heap that outgrows the start
+    doubles; the start moves no {!Stats} counter. *)
 
 val stats : (_, _, _, _) t -> Stats.t
 val heap_size : (_, _, _, _) t -> int

@@ -556,4 +556,53 @@ let suite =
         Alcotest.(check bool) "slot" false
           (segment_after Serve.default_config);
         Alcotest.(check bool) "bytecode" true (segment_after bytecode));
+    tc "a cache-hit request allocates nothing directly in the major heap"
+      (fun () ->
+        (* A request machine's heap array must be born in the minor heap:
+           one born in the major heap (1,025 words at a 1,024-slot start)
+           has every cell stored into it promoted at the next minor
+           collection. The words are read with [Gc.counters]:
+           [Gc.quick_stat]'s only move at a collection. *)
+        List.iter
+          (fun backend ->
+            let engine =
+              Serve.create
+                ~config:{ Serve.default_config with Serve.backend }
+                ()
+            in
+            let sess = Serve.session engine in
+            let src = "sum (enumFromTo 1 10)" in
+            Alcotest.(check string) "miss" "ok w 55"
+              (eval_one engine sess "w" "" src);
+            Gc.minor ();
+            let _, promoted0, major0 = Gc.counters () in
+            let reply = eval_one engine sess "h" "" src in
+            let _, promoted1, major1 = Gc.counters () in
+            Alcotest.(check string) "hit" "ok h 55" reply;
+            Alcotest.(check int) "served from the cache" 1
+              (Serve.counters engine).Serve.cache_hits;
+            Alcotest.(check int) "direct major words" 0
+              (int_of_float (major1 -. major0 -. (promoted1 -. promoted0))))
+          [ Serve.Slot; Serve.Bytecode ]);
+    tc "a request whose heap outgrows its start answers as one-shot"
+      (fun () ->
+        (* The heap doubles out of its minor-heap start into the major
+           heap, on both backends. *)
+        let src = "length (enumFromTo 1 300)" in
+        let m = Machine.create () in
+        ignore (Machine.force m (Machine.alloc m (parse src)));
+        Alcotest.(check bool) "outgrows 256 cells" true
+          (Runtime.heap_size m > 256);
+        let want = reference "g" (parse src) in
+        Alcotest.(check string) "one-shot" "ok g 300" want;
+        List.iter
+          (fun backend ->
+            let engine =
+              Serve.create
+                ~config:{ Serve.default_config with Serve.backend }
+                ()
+            in
+            Alcotest.(check string) "served" want
+              (eval_one engine (Serve.session engine) "g" "" src))
+          [ Serve.Slot; Serve.Bytecode ]);
   ]
