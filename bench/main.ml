@@ -1153,8 +1153,10 @@ let table_asyncexn () =
    holds the resolved Prelude, and the code words its bytecode compile
    emits in full and against the held Prelude segment. Last, what a
    cache-hit request costs the major heap on each backend, gated at no
-   word allocated there directly and at most 128 promoted. Emitted as
-   BENCH_S.json. *)
+   word allocated there directly and at most 128 promoted, with its
+   minor words beside them; and the machine cells a cache hit for [1]
+   allocates, gated at 1, its root (the Prelude's cells come from the
+   engine's image). Emitted as BENCH_S.json. *)
 let table_serve () =
   header
     "Table S: serve daemon under corpus replay + fault mix, both backends";
@@ -1320,7 +1322,7 @@ let table_serve () =
      the segment is built once, outside the timed thunk, as a serve
      engine builds it once. *)
   let rx = Resolve.expr wrapped in
-  let segment = Differ.prelude_segment () in
+  let segment = (Differ.held_prelude ()).Differ.segment in
   let full () = Bytecode.compile rx and appended () = Bytecode.compile ~segment rx in
   let full_code = Bytecode.emitted_words (full ())
   and held_code = Bytecode.emitted_words (appended ()) in
@@ -1346,26 +1348,42 @@ let table_serve () =
   let sources =
     Array.of_list (List.map (fun e -> Pretty.expr_to_string e.Corpus.expr) pure)
   in
+  (* The same engines then answer [1] twice: the second, a cache hit,
+     must allocate its root alone, its Prelude cells being a copy of
+     the engine's image ([Stats.allocations] from the machine totals,
+     an exact count; 126 when every request built the group). The
+     minor words are the loop's, from [Gc.minor_words]. *)
+  let cells_bound = 1 in
   let major_heap backend =
     let engine =
       Serve.create ~config:{ Serve.default_config with Serve.backend } ()
     in
     let sess = Serve.session engine in
-    let request i =
-      submit sess "m" "" sources.(i mod Array.length sources);
+    let request src =
+      submit sess "m" "" src;
       Serve.run_all engine;
       ignore (Serve.drain sess)
     in
-    Array.iteri (fun i _ -> request i) sources;
+    let corpus i = request sources.(i mod Array.length sources) in
+    Array.iteri (fun i _ -> corpus i) sources;
     Gc.full_major ();
     let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
     for i = 0 to major_requests - 1 do
-      request i
+      corpus i
     done;
+    let minor1 = Gc.minor_words () in
     let _, promoted1, major1 = Gc.counters () in
     let per x = x /. float_of_int major_requests in
     let promoted = promoted1 -. promoted0 in
-    (per (major1 -. major0 -. promoted), per promoted)
+    request "1";
+    let allocations () = (Serve.machine_totals engine).Stats.allocations in
+    let a0 = allocations () in
+    request "1";
+    ( per (major1 -. major0 -. promoted),
+      per promoted,
+      per (minor1 -. minor0),
+      allocations () - a0 )
   in
   let majors =
     [ ("slot", major_heap Serve.Slot); ("bytecode", major_heap Serve.Bytecode) ]
@@ -1374,23 +1392,34 @@ let table_serve () =
     major_requests (List.length pure);
   Fmt.pr "%-26s %12s %12s@." "metric" "slot" "bytecode";
   (match majors with
-  | [ (_, (d1, p1)); (_, (d2, p2)) ] ->
+  | [ (_, (d1, p1, m1, c1)); (_, (d2, p2, m2, c2)) ] ->
       Fmt.pr "%-26s %12.1f %12.1f@." "direct major words" d1 d2;
-      Fmt.pr "%-26s %12.1f %12.1f@." "promoted words" p1 p2
+      Fmt.pr "%-26s %12.1f %12.1f@." "promoted words" p1 p2;
+      Fmt.pr "%-26s %12.1f %12.1f@." "minor words" m1 m2;
+      Fmt.pr "@.Prelude cells per cache-hit request for 1:@.";
+      Fmt.pr "%-26s %12s %12s@." "metric" "slot" "bytecode";
+      Fmt.pr "%-26s %12d %12d@." "machine allocations" c1 c2
   | _ -> ());
   let json =
     Printf.sprintf
-      "{\"bench\":\"serve\",\"wallclock\":true,\"resolve\":{\"program\":%S,\"fresh_minor_words\":%.0f,\"memo_minor_words\":%.0f,\"fresh_min_ns\":%.0f,\"memo_min_ns\":%.0f,\"fresh_over_memo\":%.1f,\"trials\":%d},\"compile\":{\"program\":%S,\"fresh_code_words\":%d,\"held_code_words\":%d,\"fresh_min_ns\":%.0f,\"held_min_ns\":%.0f,\"fresh_over_held\":%.1f,\"trials\":%d},\"major_heap\":{\"requests\":%d,\"programs\":%d,\"promoted_bound\":%.0f,\"backends\":[%s]},\"backends\":[%s]}\n"
+      "{\"bench\":\"serve\",\"wallclock\":true,\"resolve\":{\"program\":%S,\"fresh_minor_words\":%.0f,\"memo_minor_words\":%.0f,\"fresh_min_ns\":%.0f,\"memo_min_ns\":%.0f,\"fresh_over_memo\":%.1f,\"trials\":%d},\"compile\":{\"program\":%S,\"fresh_code_words\":%d,\"held_code_words\":%d,\"fresh_min_ns\":%.0f,\"held_min_ns\":%.0f,\"fresh_over_held\":%.1f,\"trials\":%d},\"major_heap\":{\"requests\":%d,\"programs\":%d,\"promoted_bound\":%.0f,\"backends\":[%s]},\"prelude_cells\":{\"program\":\"1\",\"bound\":%d,\"backends\":[%s]},\"backends\":[%s]}\n"
       probe.Corpus.name fresh_words memo_words t_fresh.min_ns t_memo.min_ns
       ratio t_fresh.trials probe.Corpus.name full_code held_code
       t_full.min_ns t_held.min_ns compile_ratio t_full.trials major_requests
       (List.length pure) promoted_bound
       (String.concat ","
          (List.map
-            (fun (bname, (direct, promoted)) ->
+            (fun (bname, (direct, promoted, minor, _)) ->
               Printf.sprintf
-                "{\"backend\":%S,\"direct_major_words_per_request\":%.1f,\"promoted_words_per_request\":%.1f}"
-                bname direct promoted)
+                "{\"backend\":%S,\"direct_major_words_per_request\":%.1f,\"promoted_words_per_request\":%.1f,\"minor_words_per_request\":%.1f}"
+                bname direct promoted minor)
+            majors))
+      cells_bound
+      (String.concat ","
+         (List.map
+            (fun (bname, (_, _, _, cells)) ->
+              Printf.sprintf "{\"backend\":%S,\"allocations\":%d}" bname
+                cells)
             majors))
       (String.concat ","
          (List.map
@@ -1425,13 +1454,21 @@ let table_serve () =
     exit 1
   end;
   List.iter
-    (fun (bname, (direct, promoted)) ->
+    (fun (bname, (direct, promoted, _, cells)) ->
       if direct > 0. || promoted > promoted_bound then begin
         Fmt.epr
           "table_serve: a cache-hit request on %s allocated %.1f words \
            directly in the major heap (want 0) and promoted %.1f (want at \
            most %.0f)@."
           bname direct promoted promoted_bound;
+        exit 1
+      end;
+      if cells > cells_bound then begin
+        Fmt.epr
+          "table_serve: a cache-hit request for 1 on %s allocated %d \
+           machine cells (want at most %d: the Prelude's come from the \
+           engine's image)@."
+          bname cells cells_bound;
         exit 1
       end)
     majors

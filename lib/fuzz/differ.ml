@@ -190,40 +190,95 @@ let finish ?(extra = []) tr note violations =
 (* Pure terms: five evaluators                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A campaign's Prelude segment: the global context's resolved Prelude,
-   compiled to bytecode once, as a serve engine holds it. *)
-let prelude_segment () =
-  match Lang.Resolve.expr (Lang.Prelude.wrap (Lit (Lit_int 0))) with
-  | Lang.Resolve.RLetrec (specs, _) -> Bytecode.segment specs
-  | _ -> invalid_arg "Differ.prelude_segment: a wrapped term is a letrec"
+type held = { segment : Bytecode.segment; image : Stg.image }
 
-let check_pure ?cov ~segment v t =
+(* A campaign's held Prelude: the global context's resolved Prelude,
+   compiled to bytecode once and built into the slot machine's image
+   once, as a serve engine holds them. *)
+let held_prelude () =
+  match Lang.Resolve.expr (Lang.Prelude.wrap (Lit (Lit_int 0))) with
+  | Lang.Resolve.RLetrec (specs, _) ->
+      { segment = Bytecode.segment specs; image = Stg.image specs }
+  | _ -> invalid_arg "Differ.held_prelude: a wrapped term is a letrec"
+
+let check_pure ?cov ~held v t =
   let w = Lang.Prelude.wrap t in
   let tr = Obs.create ~capacity:1024 ~on:true () in
   let violations = ref [] in
   let flag check detail = violations := { check; detail } :: !violations in
   let pd = Fmt.str "%a" V.pp_deep in
   let denot w = Denot.run_deep ~config:(denot_config v) ~depth:v.depth w in
+  (* A serve request's start path for the raw term [rx]: each machine's
+     heap from the [held] Prelude's image (the bytecode compiled against
+     its segment), the root at the body. It must agree exactly with the
+     full path, whose runs [full] give each machine's deep value and
+     counters: the same value, and the same counters less the group's
+     letrec step (a dispatch on bytecode) and its cells. Its own
+     recorder is off, so the campaign's events and coverage are the full
+     path's. *)
+  let image_starts held rx ~full =
+    let n =
+      match rx with Lang.Resolve.RLetrec (g, _) -> Array.length g | _ -> 0
+    in
+    let saving =
+      List.map (fun (field, x) ->
+          match field with
+          | "steps" -> (field, x - 1)
+          | "bc_dispatches" when x > 0 -> (field, x - 1)
+          | "allocations" -> (field, x - n)
+          | _ -> (field, x))
+    in
+    let pf =
+      Fmt.(str "%a" (list ~sep:(any " ") (pair ~sep:(any "=") string int)))
+    in
+    let m, a = Stg.start ~config:(stg_config v) ~image:held.image rx in
+    let d_stg = Stg.deep ~depth:v.depth m a in
+    let mb, b =
+      Bytecode.start ~config:(stg_config v)
+        (Bytecode.compile ~segment:held.segment rx)
+    in
+    let d_bc = Bytecode.deep ~depth:v.depth mb b in
+    List.iter2
+      (fun (name, d, st) (d_full, st_full) ->
+        if not (contains_bottom d_full) then begin
+          if not (V.deep_equal d d_full) then
+            flag (name ^ "-image-vs-full")
+              (Printf.sprintf "image start %s <> full start %s" (pd d)
+                 (pd d_full));
+          let st = Machine.Stats.fields st and want = saving st_full in
+          if st <> want then
+            flag (name ^ "-image-counters")
+              (Printf.sprintf "image start %s, want %s" (pf st) (pf want))
+        end)
+      [ ("stg", d_stg, Stg.stats m); ("bytecode", d_bc, Bytecode.stats mb) ]
+      full
+  in
   (* The four implementations on one term [w] against its denotation
-     [dl]; [prefix] keeps the optimised term's check names apart. The
-     raw term's bytecode compiles against [segment], as a serve miss
-     does; the optimised term's compiles in full. *)
-  let implementations ?segment ~prefix w dl =
+     [dl]; [prefix] keeps the optimised term's check names apart. Both
+     machines take the full path, as a one-shot run does; the raw term
+     also starts from the [held] Prelude ([image_starts]). The optimised
+     term's group is pruned, so it has no image start. *)
+  let implementations ?held ~prefix w dl =
     let flag check = flag (prefix ^ check) in
-    let m = Stg.create ~config:(stg_config v) ~trace:tr () in
-    let d_stg = Stg.deep ~depth:v.depth m (Stg.alloc m w) in
+    let rx = Lang.Resolve.expr w in
+    let m, a = Stg.start ~config:(stg_config v) ~trace:tr rx in
+    let d_stg = Stg.deep ~depth:v.depth m a in
+    let st_stg = Machine.Stats.fields (Stg.stats m) in
     (* Exercise the root catch/poison machinery for coverage on a fresh
        allocation: catching at the root abandons it black-holed, so a
        [deep] after [force_catch] is not the term's denotation and feeds
        no comparison. *)
     ignore (Stg.force_catch m (Stg.alloc m w));
     (* The flat bytecode backend shares the slot machine's config. *)
-    let mb =
-      Bytecode.create ~config:(stg_config v) ~trace:tr
-        (Bytecode.compile ?segment (Lang.Resolve.expr w))
+    let mb, b =
+      Bytecode.start ~config:(stg_config v) ~trace:tr (Bytecode.compile rx)
     in
-    let d_bc = Bytecode.deep ~depth:v.depth mb (Bytecode.entry mb) in
+    let d_bc = Bytecode.deep ~depth:v.depth mb b in
+    let st_bc = Machine.Stats.fields (Bytecode.stats mb) in
     ignore (Bytecode.force_catch mb (Bytecode.entry mb));
+    Option.iter
+      (fun h -> image_starts h rx ~full:[ (d_stg, st_stg); (d_bc, st_bc) ])
+      held;
     let fixed order =
       Fixed.run_deep ~fuel:v.fixed_fuel ~depth:v.depth order w
     in
@@ -261,7 +316,7 @@ let check_pure ?cov ~segment v t =
     note_cov cov tr [ Stg.stats m; Bytecode.stats mb ] []
   in
   let dl = denot w in
-  implementations ~segment ~prefix:"" w dl;
+  implementations ~held ~prefix:"" w dl;
   (* Optimized variants: run the imprecise pipeline (every pass
      linted) and re-run each evaluator on its output. The optimiser
      may only gain information (denot ⊑ denot of optimised), every

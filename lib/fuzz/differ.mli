@@ -73,21 +73,25 @@ type result = {
       (** Flight-recorder dump of the run, present iff violations. *)
 }
 
-val prelude_segment : unit -> Machine.Bytecode.segment
-(** The global resolution context's Prelude compiled to bytecode once:
-    what a serve engine holds, for a campaign to hold likewise. *)
+type held = {
+  segment : Machine.Bytecode.segment;
+  image : Machine.Stg.image;
+}
+(** The global resolution context's Prelude as a serve engine holds it:
+    compiled to bytecode once, and built into the slot machine's heap
+    image once. *)
+
+val held_prelude : unit -> held
+(** Build both, once per campaign. *)
 
 val check_pure :
-  ?cov:Coverage.t ->
-  segment:Machine.Bytecode.segment ->
-  vconfig ->
-  Lang.Syntax.expr ->
-  result
+  ?cov:Coverage.t -> held:held -> vconfig -> Lang.Syntax.expr -> result
 (** Cross-check one pure term (open over the Prelude). The raw term's
-    bytecode compiles against [segment] (from {!prelude_segment}), only
-    its body after the held Prelude, the path a serve miss takes; the
-    optimised term's compiles in full, so both compile paths meet
-    [stg-vs-bytecode] and [bytecode-implements-denot]. *)
+    machines start from [held], the path a serve request takes: the
+    slot machine's heap from the image, the bytecode compiled against
+    the segment (only its body after the held Prelude). The optimised
+    term's group is pruned, so it takes the full path on both machines,
+    and both paths meet [stg-vs-bytecode] and the refinement checks. *)
 
 val check_io :
   ?cov:Coverage.t -> vconfig -> seed:int -> Lang.Syntax.expr -> result

@@ -93,10 +93,10 @@ let metamorph_config (v : Differ.vconfig) =
 (* All violations of one entry, as (check, detail, dump). [meta] is the
    campaign state during exploration and a scratch state during
    minimisation (so shrink probes don't pollute the witness tallies). *)
-let run_entry ?cov ~segment ~vconfig ~meta ~rseed (e : Corpus.entry) =
+let run_entry ?cov ~held ~vconfig ~meta ~rseed (e : Corpus.entry) =
   match e.Corpus.mode with
   | Corpus.M_int | Corpus.M_list | Corpus.M_any ->
-      let d = Differ.check_pure ?cov ~segment vconfig e.Corpus.expr in
+      let d = Differ.check_pure ?cov ~held vconfig e.Corpus.expr in
       let mv =
         Metamorph.check_pure ~config:(metamorph_config vconfig) meta
           e.Corpus.expr
@@ -140,7 +140,7 @@ let closed_under_prelude e =
   Lang.Subst.String_set.subset (Lang.Subst.free_vars e)
     (Lazy.force prelude_names)
 
-let minimize ~segment ~vconfig ~rseed ~check (e : Corpus.entry) =
+let minimize ~held ~vconfig ~rseed ~check (e : Corpus.entry) =
   let probes = ref 0 in
   let still_fails cand =
     closed_under_prelude cand
@@ -149,7 +149,7 @@ let minimize ~segment ~vconfig ~rseed ~check (e : Corpus.entry) =
          !probes <= 2_000
          && List.exists
               (fun (c, _, _) -> String.equal c check)
-              (run_entry ~segment ~vconfig ~meta:(Metamorph.create ())
+              (run_entry ~held ~vconfig ~meta:(Metamorph.create ())
                  ~rseed
                  { e with Corpus.expr = cand })
        end
@@ -294,7 +294,7 @@ let run cfg =
   let rng = Random.State.make [| cfg.seed; 0x1e9 |] in
   let cov = Coverage.create () in
   let meta = Metamorph.create () in
-  let segment = Differ.prelude_segment () in
+  let held = Differ.held_prelude () in
   let start = Sys.time () in
   let dict = Corpus.dictionary () in
   let file_corpus, corpus_errors =
@@ -318,7 +318,7 @@ let run cfg =
             cfg.log
               (Printf.sprintf "! %s on %s — minimising" check e.Corpus.name);
             let minimized =
-              minimize ~segment ~vconfig:cfg.vconfig ~rseed ~check e
+              minimize ~held ~vconfig:cfg.vconfig ~rseed ~check e
             in
             let crash =
               {
@@ -359,7 +359,7 @@ let run cfg =
     let rseed = cfg.seed + !total in
     let before = Coverage.signature cov in
     let violations =
-      run_entry ~cov ~segment ~vconfig:cfg.vconfig ~meta ~rseed e
+      run_entry ~cov ~held ~vconfig:cfg.vconfig ~meta ~rseed e
     in
     handle e rseed violations;
     if Coverage.signature cov <> before && !retained < cfg.max_retained then begin
@@ -439,16 +439,16 @@ let minimize_file cfg path =
     | Error e -> Error (path ^ ": " ^ e)
     | Ok entry -> (
         let rseed = cfg.seed + 1 in
-        (* Replay on the campaign's compile paths. *)
-        let segment = Differ.prelude_segment () in
+        (* Replay on the campaign's start paths. *)
+        let held = Differ.held_prelude () in
         match
-          run_entry ~segment ~vconfig:cfg.vconfig ~meta:(Metamorph.create ())
+          run_entry ~held ~vconfig:cfg.vconfig ~meta:(Metamorph.create ())
             ~rseed entry
         with
         | [] -> Ok None
         | (check, detail, dump) :: _ ->
             let minimized =
-              minimize ~segment ~vconfig:cfg.vconfig ~rseed ~check entry
+              minimize ~held ~vconfig:cfg.vconfig ~rseed ~check entry
             in
             Ok
               (Some

@@ -74,6 +74,61 @@ let op_unbound = 20 (* string pool idx *)
    [-(packed slot) - 1] when the argument reuses a variable's address. *)
 let pack (s : R.slot) = (s.R.frame lsl 16) lor s.R.idx
 
+(* ------------------------------------------------------------------ *)
+(* Frames and environments (a segment's image is built over them)      *)
+(* ------------------------------------------------------------------ *)
+
+(* A thunk's body and a position's [C_eval] are code-array pcs; a
+   position is reified as a [Runtime.code] only when a pause cell must
+   capture the continuation. *)
+type bframe =
+  | BF_update of addr
+  | BF_apply of addr
+  | BF_case of int * env  (* case-site index *)
+  | BF_prim of int * mvalue array * int * env
+      (* prim-site index, argument accumulator (filled in place, one
+         slot per argument), index of the next slot to fill — which is
+         also the index of the next argument pc in [ps_args] *)
+  | BF_raise of int  (* raise-label pool index *)
+  | BF_mapexn of addr
+  | BF_isexn
+  | BF_catch
+
+(* The environment walk off a packed slot word — the bytecode
+   counterpart of {!Stg.lookup}. *)
+let lookup (env : env) (w : int) : addr =
+  let rec go env n =
+    match env with
+    | Env_frame (arr, up) ->
+        if n = 0 then Array.unsafe_get arr (w land 0xffff) else go up (n - 1)
+    | Env_nil ->
+        raise
+          (Machine_stuck (Fail_exn (Exn.Type_error "corrupt environment")))
+  in
+  go env (w lsr 16)
+
+(* Resolve every packed slot in [caps] — a counted loop rather than
+   [Array.map (lookup env)], which would allocate a closure per call
+   on the thunk-allocation hot path. *)
+let lookup_all (env : env) (caps : int array) : addr array =
+  let n = Array.length caps in
+  if n = 0 then [||]
+  else begin
+    let arr = Array.make n 0 in
+    for i = 0 to n - 1 do
+      Array.unsafe_set arr i (lookup env (Array.unsafe_get caps i))
+    done;
+    arr
+  end
+
+let capture env (caps : int array) : env =
+  if Array.length caps = 0 then Env_nil
+  else Env_frame (lookup_all env caps, Env_nil)
+
+(* ------------------------------------------------------------------ *)
+(* Programs and segments                                               *)
+(* ------------------------------------------------------------------ *)
+
 type lam_info = {
   l_caps : int array;  (* packed capture slots *)
   mutable l_pc : int;  (* body entry, patched after the body is emitted *)
@@ -110,16 +165,18 @@ type program = {
   cases : case_site array;
   prims : prim_site array;
   emitted : int;  (* code words this compile emitted itself *)
+  image : (int, int, bframe) Runtime.image option;
+      (* the segment's group cells, for a program compiled against one *)
 }
 
 let code_words p = Array.length p.code
 let emitted_words p = p.emitted
 
 (* A root letrec group compiled once: its bindings' code and sub-blocks,
-   then the group's [op_letrec] header at [base.entry], the last words
-   of [base.code], so a program's body emitted next is what the header
-   falls through into. [held] is the spec array it was compiled from,
-   recognised by physical identity. *)
+   and the image of the group's cells over that code ([base.image]), so
+   a program whose body is emitted after it starts its machines' heaps
+   from the image and its root at the body. [held] is the spec array it
+   was compiled from, recognised by physical identity. *)
 type segment = { held : R.tspec array; base : program }
 
 (* ------------------------------------------------------------------ *)
@@ -153,19 +210,19 @@ let empty =
     cases = [||];
     prims = [||];
     emitted = 0;
+    image = None;
   }
 
 (* The one emitter. Code and pools continue from [base]: [empty] for a
    fresh compile, a held segment's for a program appended to it. Only
    the case sites are copied, so every program owns its inline caches;
-   the other templates are final once their segment is built and are
-   shared. [lay_out] emits the new blocks through these operations and
-   answers the entry and [$f $x] template pcs. *)
+   the other templates and the image are final once their segment is
+   built and are shared. [lay_out] emits the new blocks through these
+   operations and answers the entry and [$f $x] template pcs. *)
 type emitter = {
   here : unit -> int;
   emit_tail : R.rexpr -> unit;
   add_tspec : R.tspec -> int;
-  letrec_header : int array -> unit;
   drain : unit -> unit;  (* emit every queued sub-block *)
 }
 
@@ -188,11 +245,6 @@ let assemble (base : program) (lay_out : emitter -> int * int) : program =
      the first) are queued and emitted after the current linear block,
      each job patching its entry pc into the pool record that owns it. *)
   let pending : (unit -> unit) Queue.t = Queue.create () in
-  let letrec_header tspec_idxs =
-    emit op_letrec;
-    emit (Array.length tspec_idxs);
-    Array.iter emit tspec_idxs
-  in
   let rec add_tspec (sp : R.tspec) : int =
     let info = { t_caps = Array.map pack sp.R.caps; t_pc = -1 } in
     let i = add_tspec_info info in
@@ -302,7 +354,10 @@ let assemble (base : program) (lay_out : emitter -> int * int) : program =
         emit (add_tspec sp);
         emit_tail body
     | R.RLetrec (specs, body) ->
-        letrec_header (Array.map add_tspec specs);
+        let idxs = Array.map add_tspec specs in
+        emit op_letrec;
+        emit (Array.length idxs);
+        Array.iter emit idxs;
         emit_tail body
     | R.RPrim (p, []) ->
         emit op_prim0;
@@ -341,9 +396,7 @@ let assemble (base : program) (lay_out : emitter -> int * int) : program =
       (Queue.pop pending) ()
     done
   in
-  let entry, app_pc =
-    lay_out { here; emit_tail; add_tspec; letrec_header; drain }
-  in
+  let entry, app_pc = lay_out { here; emit_tail; add_tspec; drain } in
   let own = Array.init (Growarray.length code) (Growarray.get code) in
   {
     code = (if off = 0 then own else Array.append base.code own);
@@ -355,33 +408,38 @@ let assemble (base : program) (lay_out : emitter -> int * int) : program =
     cases = freeze_cases ();
     prims = freeze_prims ();
     emitted = Array.length own;
+    image = base.image;
   }
 
-(* The bindings' bodies are drained first, so that the header is the
-   segment's last instruction. The segment is never run on its own: it
-   has no application template, and its case sites are only copied. *)
+(* The segment is never run on its own: it has no entry and no
+   application template, and its case sites are only copied. Its image
+   is binding [i]'s thunk, at its code, over the group's frame. *)
 let segment (specs : R.tspec array) : segment =
+  let idxs = ref [||] in
   let base =
     assemble empty (fun e ->
-        let idxs = Array.map e.add_tspec specs in
+        idxs := Array.map e.add_tspec specs;
         e.drain ();
-        let entry = e.here () in
-        e.letrec_header idxs;
-        (entry, -1))
+        (-1, -1))
   in
-  { held = specs; base }
+  let image =
+    Runtime.image (Array.length specs) (fun group i ->
+        let sp = base.tspecs.(!idxs.(i)) in
+        (sp.t_pc, capture group sp.t_caps))
+  in
+  { held = specs; base = { base with image = Some image } }
 
-(* Against a segment that holds the root's group, the program starts at
-   the segment's header, which falls through into the body emitted
-   here; any other root compiles in full. *)
+(* Against a segment that holds the root's group, the program is the
+   body, entered over the group's frame from the segment's image; any
+   other root compiles in full. *)
 let compile ?segment (root : R.rexpr) : program =
-  let base, entry, block =
+  let base, block =
     match (segment, root) with
-    | Some s, R.RLetrec (specs, body) when specs == s.held ->
-        (s.base, s.base.entry, body)
-    | _ -> (empty, 0, root)
+    | Some s, R.RLetrec (specs, body) when specs == s.held -> (s.base, body)
+    | _ -> (empty, root)
   in
   assemble base (fun e ->
+      let entry = e.here () in
       e.emit_tail block;
       (* The application template [$f $x] over a [|f; x|] frame. *)
       let app_pc = e.here () in
@@ -396,57 +454,12 @@ let compile_expr ?ctx e = compile (R.expr ?ctx e)
 (* The machine                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A thunk's body and a position's [C_eval] are code-array pcs; a
-   position is reified as a [Runtime.code] only when a pause cell must
-   capture the continuation. *)
-type bframe =
-  | BF_update of addr
-  | BF_apply of addr
-  | BF_case of int * env  (* case-site index *)
-  | BF_prim of int * mvalue array * int * env
-      (* prim-site index, argument accumulator (filled in place, one
-         slot per argument), index of the next slot to fill — which is
-         also the index of the next argument pc in [ps_args] *)
-  | BF_raise of int  (* raise-label pool index *)
-  | BF_mapexn of addr
-  | BF_isexn
-  | BF_catch
-
 type t = (int, int, bframe, program) Runtime.t
 
-let create = Runtime.create
+let create ?config ?trace ?rctx prog =
+  Runtime.create ?config ?trace ?rctx ?image:prog.image prog
+
 let stats = Runtime.stats
-
-(* The environment walk off a packed slot word — the bytecode
-   counterpart of {!Stg.lookup}. *)
-let lookup (env : env) (w : int) : addr =
-  let rec go env n =
-    match env with
-    | Env_frame (arr, up) ->
-        if n = 0 then Array.unsafe_get arr (w land 0xffff) else go up (n - 1)
-    | Env_nil ->
-        raise
-          (Machine_stuck (Fail_exn (Exn.Type_error "corrupt environment")))
-  in
-  go env (w lsr 16)
-
-(* Resolve every packed slot in [caps] — a counted loop rather than
-   [Array.map (lookup env)], which would allocate a closure per call
-   on the thunk-allocation hot path. *)
-let lookup_all (env : env) (caps : int array) : addr array =
-  let n = Array.length caps in
-  if n = 0 then [||]
-  else begin
-    let arr = Array.make n 0 in
-    for i = 0 to n - 1 do
-      Array.unsafe_set arr i (lookup env (Array.unsafe_get caps i))
-    done;
-    arr
-  end
-
-let capture env (caps : int array) : env =
-  if Array.length caps = 0 then Env_nil
-  else Env_frame (lookup_all env caps, Env_nil)
 
 let alloc_tspec (m : t) env (ti : int) : addr =
   let sp = m.prog.tspecs.(ti) in
@@ -457,7 +470,12 @@ let alloc_tspec (m : t) env (ti : int) : addr =
 let arg_addr m env (w : int) : addr =
   if w < 0 then lookup env (-w - 1) else alloc_tspec m env w
 
-let entry (m : t) = alloc_cell m (Cell_thunk (m.prog.entry, Env_nil))
+let entry (m : t) = root m m.prog.entry
+
+let start ?config ?trace prog =
+  let m = create ?config ?trace prog in
+  (m, entry m)
+
 let update = function BF_update a -> Some a | _ -> None
 
 (* The per-transition preamble's verdict: proceed, a resource latch

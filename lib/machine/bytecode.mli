@@ -34,22 +34,26 @@ type program
 type segment
 (** A root letrec group compiled once — in practice the Prelude, which
     every {!Lang.Prelude.wrap}ped program of a resolution context holds
-    as the same spec array: the bindings' code and sub-blocks, then the
-    group's letrec header, so a program's body appended after it is what
-    the header falls through into. *)
+    as the same spec array: the bindings' code and sub-blocks, and the
+    group's heap cells over that code ({!Runtime.image}), from which the
+    machines of a program appended to the segment start. *)
 
 val segment : Lang.Resolve.tspec array -> segment
-(** Compile a root letrec group's bindings into a segment. The array is
-    recognised by physical identity: pass the one the programs' roots
-    hold ({!Lang.Resolve.held_prelude}). *)
+(** Compile a root letrec group's bindings into a segment, and build its
+    image. The array is recognised by physical identity: pass the one
+    the programs' roots hold ({!Lang.Resolve.held_prelude}). *)
 
 val compile : ?segment:segment -> Lang.Resolve.rexpr -> program
 (** Compile resolved IR. A root [RLetrec (specs, body)] whose [specs] is
     physically the [segment]'s starts from the segment's code and pools
     and emits only [body], its sub-blocks and the application template;
-    the program gets fresh copies of the segment's case sites. Any other
-    root compiles in full, exactly as without a segment. Both ways give
-    the same code words, values and machine counters.
+    the program gets fresh copies of the segment's case sites, and
+    carries the segment's image, so {!create} starts each machine's heap
+    from it and {!entry} roots at [body]. Against a full compile that
+    is one dispatch and [n] allocations fewer per root, the [n]-binding
+    group's letrec header ([n + 2] code words) less, and the same value
+    and every other machine counter. Any other root compiles in full,
+    exactly as without a segment.
 
     Compilation is context-free: tags are already interned ints, so the
     resolving context is only needed again at runtime (pass it to
@@ -78,11 +82,18 @@ val create :
   ?rctx:Lang.Resolve.context ->
   program ->
   t
-(** {!Runtime.create} for this program. *)
+(** {!Runtime.create} for this program, from its segment's image when it
+    carries one. *)
 
 val entry : t -> addr
-(** Allocate the program's entry point as a fresh thunk (each call is an
-    independent evaluation root). *)
+(** Allocate the program's entry point as a fresh root thunk
+    ({!Runtime.root}). Each call is an independent evaluation root,
+    though the roots of a program compiled against a segment share the
+    machine's copy of the group's cells. *)
+
+val start :
+  ?config:Runtime.config -> ?trace:Obs.t -> program -> t * addr
+(** {!create} then {!entry}: a fresh machine and its root. *)
 
 val stats : t -> Stats.t
 val force : t -> addr -> (mvalue, Runtime.failure) result

@@ -35,3 +35,11 @@ let push t v =
   t.data.(t.len) <- v;
   t.len <- t.len + 1;
   t.len - 1
+
+let append t a =
+  let n = Array.length a in
+  while t.len + n > Array.length t.data do
+    grow t
+  done;
+  Array.blit a 0 t.data t.len n;
+  t.len <- t.len + n

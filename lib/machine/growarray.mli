@@ -19,3 +19,6 @@ val fast_set : 'a t -> int -> 'a -> unit
 
 val push : 'a t -> 'a -> int
 (** Append and return the new element's index. *)
+
+val append : 'a t -> 'a array -> unit
+(** Append every element of the array, in order, in one copy. *)

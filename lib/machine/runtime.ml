@@ -60,9 +60,25 @@ type to_exn_error = Not_exn | Exn_err of Exn.t
 exception Machine_stuck of failure
 exception Prim_type_error of string
 
+type ('body, 'lam, 'frame) image = {
+  cells : ('body, 'lam, 'frame) cell array;
+  group : env;
+}
+
+let image n thunk =
+  let group = Env_frame (Array.init n Fun.id, Env_nil) in
+  {
+    cells =
+      Array.init n (fun i ->
+          let body, env = thunk group i in
+          Cell_thunk (body, env));
+    group;
+  }
+
 type ('body, 'lam, 'frame, 'prog) t = {
   prog : 'prog;
   mutable heap : ('body, 'lam, 'frame) cell Growarray.t;
+  mutable group : env;
   stats : Stats.t;
   cfg : config;
   rctx : R.context;
@@ -87,10 +103,23 @@ type ('body, 'lam, 'frame, 'prog) run =
 let initial_heap_slots = 256
 
 let create ?(config = default_config) ?(trace = Obs.create ())
-    ?(rctx = R.global_context) prog =
+    ?(rctx = R.global_context) ?image prog =
+  let heap =
+    Growarray.create ~capacity:initial_heap_slots ~dummy:Cell_unused ()
+  in
+  let group =
+    match image with
+    | None -> Env_nil
+    | Some i ->
+        (* A copy of the image's slots: the cells and their frames are
+           shared, and never written in place. *)
+        Growarray.append heap i.cells;
+        i.group
+  in
   {
     prog;
-    heap = Growarray.create ~capacity:initial_heap_slots ~dummy:Cell_unused ();
+    heap;
+    group;
     stats = Stats.create ();
     cfg = config;
     rctx;
@@ -128,6 +157,7 @@ let alloc_cell m cell =
   Growarray.push m.heap cell
 
 let alloc_value m v = alloc_cell m (Cell_value v)
+let root m body = alloc_cell m (Cell_thunk (body, m.group))
 
 let alloc_app m app f x =
   alloc_cell m (Cell_thunk (app, Env_frame ([| f; x |], Env_nil)))
@@ -320,6 +350,7 @@ let gc copy_frame m ~roots =
     | (Cell_blackhole | Cell_raise _ | Cell_unused) as c -> c
   in
   let roots' = List.map copy roots in
+  m.group <- copy_env copy m.group;
   m.heap <- new_heap;
   m.stats.collections <- m.stats.collections + 1;
   m.stats.live_copied <- m.stats.live_copied + Growarray.length new_heap;

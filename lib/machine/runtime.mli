@@ -112,12 +112,28 @@ exception Prim_type_error of string
     the loop boundary as an ordinary synchronous raise: the denotational
     semantics makes no distinction. *)
 
+type ('body, 'lam, 'frame) image
+(** A root letrec group's cells, built once to start any number of
+    heaps from: cell [i] is binding [i]'s thunk over the group's frame
+    [[|0; …; n-1|]]. In practice the group is the Prelude, which every
+    {!Lang.Prelude.wrap}ped program's root binds. An image is immutable:
+    a machine started from it copies its slots, never its cells, and a
+    machine overwrites a slot, never a cell or a frame. *)
+
+val image : int -> (env -> int -> 'body * env) -> ('body, 'lam, 'frame) image
+(** [image n thunk]: the image of an [n]-binding group, binding [i]'s
+    cell being [Cell_thunk (thunk group i)] over the group's frame
+    [group]. *)
+
 (** A machine. Every piece of per-machine state lives here — the serve
     daemon's re-entrancy audit holds the machine to "no hidden process
     state". *)
 type ('body, 'lam, 'frame, 'prog) t = {
   prog : 'prog;
   mutable heap : ('body, 'lam, 'frame) cell Growarray.t;
+  mutable group : env;
+      (** The frame of the group the heap started with ({!create}'s
+          [image]), [Env_nil] without one. {!gc} relocates it. *)
   stats : Stats.t;
   cfg : config;
   rctx : Lang.Resolve.context;
@@ -147,15 +163,17 @@ val create :
   ?config:config ->
   ?trace:Obs.t ->
   ?rctx:Lang.Resolve.context ->
+  ?image:('body, 'lam, 'frame) image ->
   'prog ->
   ('body, 'lam, 'frame, 'prog) t
 (** [trace] is the flight recorder this machine reports into (default: a
-    fresh, disabled recorder — tracing costs one dead branch on the
-    exceptional paths and nothing on the per-step fast path). [rctx] is
-    the constructor-interning context the machine's code was resolved
-    against (default {!Lang.Resolve.global_context}); a machine only
-    reads names through its own context, so embedders can sandbox a
-    tenant's constructor vocabulary.
+    fresh, disabled recorder, which holds no event buffer — tracing
+    costs one dead branch on the exceptional paths and nothing on the
+    per-step fast path). [rctx] is the constructor-interning context the
+    machine's code was resolved against (default
+    {!Lang.Resolve.global_context}); a machine only reads names through
+    its own context, so embedders can sandbox a tenant's constructor
+    vocabulary.
 
     The heap starts at 256 slots, OCaml's [Max_young_wosize], so a new
     machine allocates nothing directly in the major heap: its heap array
@@ -163,7 +181,23 @@ val create :
     such as a serve request's. A larger start would be born in the major
     heap, and the next minor collection would promote every cell stored
     into it, machine dead or not. A heap that outgrows the start
-    doubles; the start moves no {!Stats} counter. *)
+    doubles; the start moves no {!Stats} counter.
+
+    With [image], the heap starts as a copy of the image's [n] slots, at
+    addresses [0 … n-1], and {!root} starts roots over the group's frame:
+    a copy of [n] pointers instead of [n] fresh thunks, the saving of a
+    serve request whose program binds the Prelude. Isolation holds
+    because update, black-holing, poisoning and pausing each replace a
+    slot of this heap, and no cell or frame is ever written in place, so
+    no machine sees another's evaluation of a shared cell. The copied
+    slots count in {!heap_size} (and so against [heap_limit]) but not in
+    [Stats.allocations]. *)
+
+val root : ('body, _, _, _) t -> 'body -> addr
+(** [root m body]: a fresh root thunk of [body] over the machine's group
+    frame ([Env_nil] on a machine started without an image): the
+    program's body, which sees the group's bindings, or a closed
+    program. *)
 
 val stats : (_, _, _, _) t -> Stats.t
 val heap_size : (_, _, _, _) t -> int
@@ -312,6 +346,7 @@ val gc :
     with the function it is passed). Must be called between runs (no
     evaluation in progress); [roots] are the addresses the caller still
     holds, and the relocated addresses are returned in the same order.
-    Every other address becomes invalid. Pause cells and poisoned thunks
+    The group frame is a root too, relocated in place, so {!root} stays
+    valid. Every other address becomes invalid. Pause cells and poisoned thunks
     survive with their contents intact, so interrupted computations stay
     resumable across collections. *)

@@ -48,7 +48,7 @@ type failure = Runtime.failure =
   | Fail_diverged
 
 let default_config = Runtime.default_config
-let create = Runtime.create
+let create ?config ?trace ?rctx () = Runtime.create ?config ?trace ?rctx ()
 let stats = Runtime.stats
 
 (* Read a (frame, offset) slot from the environment chain. The resolver
@@ -82,6 +82,35 @@ let arg_addr m env = function
 
 let alloc_resolved (m : t) r = alloc_cell m (Cell_thunk (r, Env_nil))
 let alloc m e = alloc_resolved m (R.expr ~ctx:m.rctx e)
+
+(* A root letrec group's cells, built once: binding [i]'s thunk over
+   the group's frame, exactly as the [RLetrec] step would build them in
+   a fresh heap. [held] is the spec array, recognised by physical
+   identity. *)
+type image = {
+  held : R.tspec array;
+  cells : (R.rexpr, R.lam, frame) Runtime.image;
+}
+
+let image (specs : R.tspec array) =
+  {
+    held = specs;
+    cells =
+      Runtime.image (Array.length specs) (fun group i ->
+          (specs.(i).R.tbody, capture group specs.(i).R.caps));
+  }
+
+(* A root that binds the image's group starts at its body, in a heap
+   that starts as a copy of the image; any other root takes the full
+   path. *)
+let start ?config ?trace ?image rx =
+  match (image, rx) with
+  | Some i, R.RLetrec (specs, body) when specs == i.held ->
+      let m = Runtime.create ?config ?trace ~image:i.cells () in
+      (m, root m body)
+  | _ ->
+      let m = create ?config ?trace () in
+      (m, alloc_resolved m rx)
 
 (* Pre-resolved [$f $x] template shared by [alloc_app] and the nested
    mapException application: frame 0 holds [|f; x|]. *)

@@ -59,6 +59,24 @@ val alloc_resolved : t -> Lang.Resolve.rexpr -> addr
     entry point: resolve with {!Lang.Resolve.expr} ahead of time, then
     allocate it on any number of fresh machines without re-resolving. *)
 
+type image
+(** A root letrec group's heap cells, built once ({!Runtime.image}). *)
+
+val image : Lang.Resolve.tspec array -> image
+(** The image of a root letrec group. The array is recognised by
+    physical identity: pass the one the programs' roots hold
+    ({!Lang.Resolve.held_prelude}). *)
+
+val start :
+  ?config:config -> ?trace:Obs.t -> ?image:image -> Lang.Resolve.rexpr ->
+  t * addr
+(** A fresh machine and its root for a resolved program. A root
+    [RLetrec (specs, body)] whose [specs] is physically the [image]'s
+    starts the heap as a copy of the image and the root at [body] over
+    the group's frame: one step and [n] allocations fewer than the full
+    path, with the same value and every other counter alike. Any other
+    root takes the full path, {!create} then {!alloc_resolved}. *)
+
 val alloc_app : t -> addr -> addr -> addr
 (** [alloc_app m f x]: a thunk for the application of the function at [f]
     to the argument at [x] (used by the IO driver for [>>=]

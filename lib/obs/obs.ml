@@ -117,18 +117,37 @@ let pp_event ppf = function
 
 type t = {
   mutable on : bool;
-  buf : event array;
+  cap : int;
+  mutable buf : event array;
+      (** Empty until the recorder is first enabled or written: a recorder
+          that stays off (every request machine's, by default) holds no
+          buffer. *)
   mutable next : int;  (** Write cursor. *)
   mutable total : int;  (** Events recorded over the recorder's life. *)
 }
 
 let create ?(capacity = 256) ?(on = false) () =
-  { on; buf = Array.make (max 1 capacity) Ev_mask_pop; next = 0; total = 0 }
+  let cap = max 1 capacity in
+  {
+    on;
+    cap;
+    buf = (if on then Array.make cap Ev_mask_pop else [||]);
+    next = 0;
+    total = 0;
+  }
+
+let buffer t =
+  if Array.length t.buf = 0 then t.buf <- Array.make t.cap Ev_mask_pop;
+  t.buf
 
 let on t = t.on
-let enable t = t.on <- true
+
+let enable t =
+  ignore (buffer t);
+  t.on <- true
+
 let disable t = t.on <- false
-let capacity t = Array.length t.buf
+let capacity t = t.cap
 let seen t = t.total
 
 let clear t =
@@ -136,13 +155,13 @@ let clear t =
   t.total <- 0
 
 let record t ev =
-  t.buf.(t.next) <- ev;
-  t.next <- (t.next + 1) mod Array.length t.buf;
+  (buffer t).(t.next) <- ev;
+  t.next <- (t.next + 1) mod t.cap;
   t.total <- t.total + 1
 
 (* Retained events, oldest first. *)
 let events t =
-  let cap = Array.length t.buf in
+  let cap = t.cap in
   let n = min t.total cap in
   List.init n (fun i -> t.buf.(((t.next - n + i) mod cap + cap) mod cap))
 

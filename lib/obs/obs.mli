@@ -87,7 +87,9 @@ type t
     is not even allocated when tracing is off. *)
 
 val create : ?capacity:int -> ?on:bool -> unit -> t
-(** Default capacity 256 events, default off. *)
+(** Default capacity 256 events, default off. The buffer is allocated
+    when the recorder is first enabled or written, so one that stays off
+    costs a few words, not [capacity]. *)
 
 val on : t -> bool
 (** The one branch instrumented hot paths pay when tracing is off. *)

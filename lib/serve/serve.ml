@@ -155,8 +155,12 @@ type t = {
   mutable cache_clock : int;
   mutable segment : B.segment option;
       (* The Prelude compiled to bytecode once, at the first bytecode
-         miss whose root holds the resolved Prelude; see
-         [prelude_segment]. *)
+         miss whose root holds the resolved Prelude, with the image of
+         its heap cells; see [prelude_segment]. *)
+  mutable image : M.image option;
+      (* The Prelude's heap cells for the slot machine, built once, at
+         the first slot request whose root holds the resolved Prelude;
+         see [prelude_image]. *)
   c : counters;
   agg : Stats.t;
       (* Machine counters accumulated over every finished request —
@@ -213,6 +217,7 @@ let create ?(config = default_config) () =
     cache = Hashtbl.create 64;
     cache_clock = 0;
     segment = None;
+    image = None;
     c = new_counters ();
     agg = Stats.create ();
     inflight = [];
@@ -264,10 +269,15 @@ let reply_err s id kind detail =
    vocabulary. That context also holds the resolved Prelude, so an
    unoptimised miss resolves only the program's body, and every entry's
    Prelude letrec shares one spec array; an entry's own IR is its body.
-   Under [optimize] the pipeline prunes the Prelude group, so the term
-   is no longer the shared list and resolves in full. A bytecode entry
-   of an unoptimised program compiles only its body, against the
-   engine's Prelude segment ([bytecode_of]). *)
+   The engine builds that group's heap cells once, as an image, and
+   every request whose root holds the shared array starts its machine's
+   heap as a copy of the image's slots, its root at the body
+   ([prelude_image], and the segment's image on bytecode). Under
+   [optimize] the pipeline prunes the Prelude group, so the term is no
+   longer the shared list: it resolves in full, and its requests build
+   their cells as before. A bytecode entry of an unoptimised program
+   compiles only its body, against the engine's Prelude segment
+   ([bytecode_of]). *)
 
 let cache_touch t e =
   t.cache_clock <- t.cache_clock + 1;
@@ -345,17 +355,25 @@ let compile t src : (cache_entry, string * string * string option) result =
                       violations,
                     Some dump )))
 
-(* The engine's Prelude segment, for a root that holds the global
-   context's resolved Prelude: built at the first such bytecode miss,
-   then kept for the engine's life. An optimised root holds a pruned
-   group, so an engine that only sees optimised programs builds none. *)
-let prelude_segment t (rx : R.rexpr) =
-  match (t.segment, rx, R.held_prelude R.global_context) with
-  | Some _, _, _ -> t.segment
-  | None, R.RLetrec (specs, _), Some held when specs == held ->
-      t.segment <- Some (B.segment held);
-      t.segment
-  | None, _, _ -> None
+(* The global context's resolved Prelude, when the root binds it. An
+   optimised root holds a pruned group, so an engine that only sees
+   optimised programs builds neither of the two artefacts below. *)
+let held_by (rx : R.rexpr) =
+  match (rx, R.held_prelude R.global_context) with
+  | R.RLetrec (specs, _), Some held when specs == held -> Some held
+  | _ -> None
+
+(* The engine's Prelude segment (bytecode) and image (slot machine):
+   each built at the first root of its backend that holds the Prelude,
+   then kept for the engine's life. *)
+let prelude_segment t rx =
+  if Option.is_none t.segment then
+    t.segment <- Option.map B.segment (held_by rx);
+  t.segment
+
+let prelude_image t rx =
+  if Option.is_none t.image then t.image <- Option.map M.image (held_by rx);
+  t.image
 
 (* Under the [Bytecode] backend the cache's unit of reuse is the
    compiled program, not the slot IR: compile on first use, then share
@@ -591,13 +609,19 @@ let submit t (s : session) (id : string) (o : opts) (src : string) =
           arm_slice t req;
           t.inflight <- t.inflight @ [ Req req ]
         in
+        (* A root that holds the Prelude starts from the engine's
+           image of its cells: the machine's heap is a copy of the
+           image's slots, and its root is the program's body. *)
         match t.cfg.backend with
         | Slot ->
-            let m = M.create ~config ~trace () in
-            admit m (M.alloc_resolved m entry.rx) M.force_catch M.deep
+            let m, root =
+              M.start ~config ~trace ?image:(prelude_image t entry.rx)
+                entry.rx
+            in
+            admit m root M.force_catch M.deep
         | Bytecode ->
-            let m = B.create ~config ~trace (bytecode_of t entry) in
-            admit m (B.entry m) B.force_catch B.deep
+            let m, root = B.start ~config ~trace (bytecode_of t entry) in
+            admit m root B.force_catch B.deep
 
 (* ------------------------------------------------------------------ *)
 (* The line protocol                                                   *)

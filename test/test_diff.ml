@@ -145,11 +145,11 @@ let suite =
         (* A fuzz-found witness (EXPERIMENTS bugs table, row 11) and
            variants: the fixed-order evaluators must raise the
            denotation's TypeError, "application of a non-function". *)
-        let segment = Differ.prelude_segment () in
+        let held = Differ.held_prelude () in
         List.iter
           (fun src ->
             let r =
-              Differ.check_pure ~segment Differ.default_vconfig (parse_raw src)
+              Differ.check_pure ~held Differ.default_vconfig (parse_raw src)
             in
             Alcotest.(check (list string))
               (src ^ ": no violations") []

@@ -32,6 +32,30 @@ let suite =
         Obs.clear tr;
         Alcotest.(check int) "clear resets" 0
           (List.length (Obs.events tr)));
+    tc "an off recorder holds no buffer until it is enabled" (fun () ->
+        (* Every request machine gets a recorder, off unless tracing is:
+           it must not pay for a ring it never writes (262 words at the
+           default 256 events). [Gc.minor_words], because
+           [Gc.quick_stat]'s counts move only at a collection. *)
+        let w0 = Gc.minor_words () in
+        let tr = Sys.opaque_identity (Obs.create ()) in
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "an off recorder allocates %.0f words" words)
+          true (words <= 8.);
+        Alcotest.(check int) "capacity is the requested one" 256
+          (Obs.capacity tr);
+        Alcotest.(check int) "no events" 0 (List.length (Obs.events tr));
+        let tr = Obs.create ~capacity:4 () in
+        Obs.enable tr;
+        for i = 0 to 9 do
+          Obs.record tr (Obs.Ev_pause i)
+        done;
+        Alcotest.(check (list int))
+          "enabled later: the newest four" [ 6; 7; 8; 9 ]
+          (List.map
+             (function Obs.Ev_pause i -> i | _ -> Alcotest.fail "event")
+             (Obs.events tr)));
     tc "a disabled recorder sees nothing from an exceptional run"
       (fun () ->
         (* The default machine recorder is off: even a run full of

@@ -584,6 +584,74 @@ let suite =
             Alcotest.(check int) "direct major words" 0
               (int_of_float (major1 -. major0 -. (promoted1 -. promoted0))))
           [ Serve.Slot; Serve.Bytecode ]);
+    tc "requests started from the Prelude image leave it as they found it"
+      (fun () ->
+        (* A request whose program binds the Prelude starts its heap as
+           a copy of the engine's image of the Prelude's cells. Whatever
+           it does to its copies (update the CAF [newline], raise
+           through Prelude code with [head []], or be paused inside
+           Prelude thunks by a slice short enough to pause [newline]'s
+           cell mid-evaluation), the next request must find the image as
+           it was: the same request again gives the same reply and the
+           same per-request counters, and so does a clean request after
+           it. *)
+        let counters =
+          [ "steps"; "allocations"; "updates"; "thunks_poisoned";
+            "thunks_paused" ]
+        in
+        let request engine id src =
+          let sess = Serve.session engine in
+          let before = Stats.fields (Serve.machine_totals engine) in
+          let reply = eval_one engine sess id "" src in
+          let after = Stats.fields (Serve.machine_totals engine) in
+          ( reply,
+            List.map
+              (fun k -> (k, List.assoc k after - List.assoc k before))
+              counters )
+        in
+        let outcome = Alcotest.(pair string (list (pair string int))) in
+        let clean = "length [1, 2, 3]" in
+        List.iter
+          (fun (backend, short_slice) ->
+            let mk slice =
+              Serve.create
+                ~config:{ Serve.default_config with Serve.backend; slice }
+                ()
+            in
+            let engine = mk Serve.default_config.Serve.slice
+            and sliced = mk short_slice in
+            let base = request engine "c" clean
+            and sliced_base = request sliced "c" clean in
+            Alcotest.(check (list string))
+              "clean replies" [ "ok c 3"; "ok c 3" ]
+              [ fst base; fst sliced_base ];
+            List.iter
+              (fun (engine, base, src) ->
+                let first = request engine "r" src in
+                Alcotest.check outcome (src ^ ": again") first
+                  (request engine "r" src);
+                Alcotest.check outcome (src ^ ": then a clean request") base
+                  (request engine "c" clean))
+              [
+                (engine, base, "newline");
+                (engine, base, "head []");
+                (sliced, sliced_base, "newline");
+                (sliced, sliced_base, "head []");
+                ( sliced,
+                  sliced_base,
+                  "length (map (\\x -> x + 1) (enumFromTo 1 20))" );
+              ];
+            Alcotest.(check bool) "the slice paused newline's cell" true
+              (List.assoc "thunks_paused" (snd (request sliced "n" "newline"))
+               >= 2);
+            (* The saving itself: a cache hit for [1] allocates its root
+               alone, the Prelude's cells being the image's. *)
+            ignore (request engine "one" "1");
+            Alcotest.(check int) "a request for 1 allocates one cell" 1
+              (List.assoc "allocations" (snd (request engine "one" "1"))))
+          (* Bytecode fuses transitions, so its slice must be shorter to
+             land inside [newline]. *)
+          [ (Serve.Slot, 7); (Serve.Bytecode, 5) ]);
     tc "a request whose heap outgrows its start answers as one-shot"
       (fun () ->
         (* The heap doubles out of its minor-heap start into the major
