@@ -868,7 +868,9 @@ let serve_cmd =
     Arg.(
       value & opt int Serve.default_config.Serve.slice
       & info [ "slice" ] ~docv:"N"
-          ~doc:"Steps per scheduling quantum between interrupt checks.")
+          ~doc:"Steps of progress per scheduling quantum: the next \
+                interrupt check fires N steps after a resumed request has \
+                re-entered its paused cells.")
   in
   let inflight_q =
     Arg.(

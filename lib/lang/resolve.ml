@@ -362,7 +362,7 @@ let resolved_prelude ctx =
       p
 
 (* A [Prelude.wrap]ped program, recognised by the physical identity of
-   the shared bindings list (as [Lint]'s [Pristine] shape does) and only
+   the shared bindings list (as [Pipeline.optimize]'s split does) and only
    at the root, where the outer scope is empty: it reuses the context's
    resolved Prelude and resolves just the body, numbering raise sites
    from where the Prelude's end. The IR is structurally the one a full

@@ -510,7 +510,6 @@ let rec run (m : t) ~(catch : bool) (code0 : (int, int) code) :
   let heap_lim =
     match m.cfg.heap_limit with Some l -> l | None -> max_int
   in
-  let arith_bound = 1 lsl (m.cfg.int_bits - 1) in
   (* Asynchronous events reach only an unmasked catch mark; the mask
      depth is set between runs, so the condition is fixed per run. *)
   let poll = catch && m.mask_depth = 0 in
@@ -583,7 +582,8 @@ let rec run (m : t) ~(catch : bool) (code0 : (int, int) code) :
     unwind_sync o exn
 
   and arith (n : int) : mvalue =
-    if n >= -arith_bound && n < arith_bound then ret_fused (MInt n)
+    if n >= -Runtime.arith_bound && n < Runtime.arith_bound then
+      ret_fused (MInt n)
     else raise_to ~label:"arith-overflow" Exn.Overflow
 
   and apply_prim (p : Lang.Prim.t) (vs : mvalue array) : mvalue =

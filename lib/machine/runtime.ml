@@ -31,7 +31,6 @@ type ('body, 'lam, 'frame) cell =
 
 type config = {
   fuel : int;
-  int_bits : int;
   blackhole_nontermination : bool;
   poison_thunks : bool;
   heap_limit : int option;
@@ -41,12 +40,13 @@ type config = {
 let default_config =
   {
     fuel = 2_000_000;
-    int_bits = 32;
     blackhole_nontermination = false;
     poison_thunks = true;
     heap_limit = None;
     stack_limit = None;
   }
+
+let arith_bound = 1 lsl 31
 
 type failure = Fail_exn of Exn.t | Fail_async of Exn.t | Fail_diverged
 

@@ -65,7 +65,6 @@ type ('body, 'lam, 'frame) cell =
 
 type config = {
   fuel : int;  (** Machine steps before reporting divergence. *)
-  int_bits : int;
   blackhole_nontermination : bool;
       (** Report a re-entered black hole as [NonTermination] rather than
           diverging (Section 5.2). *)
@@ -89,6 +88,10 @@ type config = {
 }
 
 val default_config : config
+
+val arith_bound : int
+(** Machine integers are 32-bit on both loops: arithmetic whose result
+    falls outside [\[-arith_bound, arith_bound)] raises [Overflow]. *)
 
 type failure =
   | Fail_exn of Lang.Exn.t  (** Uncaught synchronous exception. *)

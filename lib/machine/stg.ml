@@ -35,7 +35,6 @@ type t = (R.rexpr, R.lam, frame, unit) Runtime.t
 
 type config = Runtime.config = {
   fuel : int;
-  int_bits : int;
   blackhole_nontermination : bool;
   poison_thunks : bool;
   heap_limit : int option;
@@ -192,8 +191,8 @@ let rec run (m : t) ~(catch : bool) (code0 : (R.rexpr, R.lam) code) :
   in
 
   let arith n =
-    let bound = 1 lsl (m.cfg.int_bits - 1) in
-    if n >= -bound && n < bound then C_ret (MInt n)
+    if n >= -Runtime.arith_bound && n < Runtime.arith_bound then
+      C_ret (MInt n)
     else raise_to_code ~label:"arith-overflow" Exn.Overflow
   in
 

@@ -30,7 +30,6 @@ type t = (Lang.Resolve.rexpr, Lang.Resolve.lam, frame, unit) Runtime.t
 
 type config = Runtime.config = {
   fuel : int;
-  int_bits : int;
   blackhole_nontermination : bool;
   poison_thunks : bool;
   heap_limit : int option;

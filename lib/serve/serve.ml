@@ -51,9 +51,13 @@ type config = {
       (** Default per-request wall-clock deadline; [0] disables. *)
   depth : int;  (** Deep-forcing print depth for [ok] replies. *)
   slice : int;
-      (** Steps between interrupt injections — the scheduling quantum.
-          Smaller is fairer and checks deadlines more often; larger
-          amortises the pause/resume cost. *)
+      (** Steps of progress between interrupt injections. A scheduling
+          quantum is the resume (one step to re-enter the root and one
+          per cell the last interrupt paused) plus [slice] steps, so a
+          request makes progress at any slice. Smaller is fairer and
+          checks deadlines more often; larger amortises the
+          pause/resume cost. The resume's re-entries still count
+          against the request's fuel quota. *)
   max_inflight : int;
       (** Admission control: requests beyond this answer [overloaded]. *)
   mem_budget : int;
@@ -186,6 +190,7 @@ and ('b, 'l, 'f, 'p) req = {
   deadline : int64;
   seq : int;  (* admission order: the eviction victim is the min seq *)
   rdepth : int;
+  mutable paused : int;  (* [Stats.thunks_paused] at the last arming *)
 }
 
 and session = {
@@ -441,9 +446,17 @@ let crash t req (what : string) (dump : string) =
 
 let finish t req = Stats.add t.agg (Runtime.stats req.m)
 
+(* The next interrupt fires [slice] steps after the resume: re-entering
+   the root and then each cell the last unwind paused, one step a cell.
+   Counting the chain is what lets a request whose chain has grown to
+   [slice] cells make progress; a quantum that did not cover it would
+   spend itself re-entering the chain and leave it as long again. *)
 let arm_slice t req =
+  let st = Runtime.stats req.m in
+  let chain = st.Stats.thunks_paused - req.paused in
+  req.paused <- st.Stats.thunks_paused;
   Runtime.inject_async req.m
-    ~at_step:((Runtime.stats req.m).Stats.steps + t.cfg.slice)
+    ~at_step:(st.Stats.steps + chain + 1 + t.cfg.slice)
     Exn.Timeout
 
 (* Oldest-paused eviction: the paused requests are the only elastic
@@ -603,6 +616,7 @@ let submit t (s : session) (id : string) (o : opts) (src : string) =
               deadline;
               seq = t.next_seq;
               rdepth = o.o_depth;
+              paused = 0;
             }
           in
           t.next_seq <- t.next_seq + 1;

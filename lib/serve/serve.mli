@@ -34,8 +34,8 @@
     heap and stack quotas — a breach is an imprecise exception inside
     that machine only; the daemon never dies. Wall-clock timeouts reuse
     Section 5.1's pause cells: an asynchronous interrupt is injected
-    every [slice] steps, unwinding the request into resumable pause
-    cells; at each boundary the deadline is checked and the request
+    [slice] steps past each resume, unwinding the request into resumable
+    pause cells; at each boundary the deadline is checked and the request
     either answers [timeout], or re-arms and requeues. Admission is
     bounded ([overloaded] past [max_inflight]); when paused heaps sum
     past [mem_budget] the oldest paused request is [evicted]. Unexpected
@@ -59,7 +59,9 @@ type config = {
   timeout_ms : int;
       (** Default per-request wall-clock deadline; [0] disables. *)
   depth : int;  (** Deep-forcing print depth for [ok] replies. *)
-  slice : int;  (** Steps between slice interrupts (the quantum). *)
+  slice : int;
+      (** Steps of progress per quantum: the next interrupt fires [slice]
+          steps after the resume has re-entered the paused cells. *)
   max_inflight : int;  (** Admission bound; beyond it: [overloaded]. *)
   mem_budget : int;  (** Paused-heap cell budget; beyond it: evict. *)
   cache_capacity : int;  (** Compiled-program cache entries (LRU). *)

@@ -24,12 +24,17 @@
     a structural oddity already present in the input (say, a wrong-arity
     [Pcon] alternative, which the machines treat as unreachable rather
     than ill-formed) is tolerated; only {e newly introduced} violations
-    fail the pass. *)
+    fail the pass.
+
+    The pipeline splits a [Prelude.wrap]ped root into the Prelude group
+    and the program body once, so a snapshot is of a body: open over the
+    Prelude, or an unwrapped closed term. What prune trims off the group
+    is checked apart, by {!check_group}. *)
 
 type violation = { check : string; detail : string }
 (** One lint finding: the check that fired ("scope",
-    "binder-uniqueness", "arity", "pattern", "type-preservation") and a
-    human-readable description. *)
+    "binder-uniqueness", "arity", "pattern", "type-preservation",
+    "group") and a human-readable description. *)
 
 val pp_violation : violation Fmt.t
 
@@ -44,24 +49,28 @@ val pp_lint_error : exn Fmt.t
 (** Renders a [Lint_error]; falls back to [Printexc] otherwise. *)
 
 type st
-(** Snapshot of the last known-good term: free variables, canonical
-    rendered type (None when it does not type-check), and structural
-    findings already present before any pass ran. *)
+(** Snapshot of the last known-good body: its free variables, its
+    canonical type under the Prelude environment (None when it does not
+    type-check), and the structural findings already present in it. *)
 
 val snapshot : Lang.Syntax.expr -> st
-
-val ty_of_st : st -> string option
-(** The snapshot's inferred type, canonically rendered. *)
-
-val structural :
-  free_ok:Lang.Subst.String_set.t -> Lang.Syntax.expr -> violation list
-(** The non-typing checks alone: scope (free variables outside
-    [free_ok]), binder uniqueness, constructor/primitive arities. *)
 
 val check_pass : ?trace:Obs.t -> pass:string -> prev:st -> Lang.Syntax.expr -> st
 (** Lint a pass output against the snapshot of its input. On success
     returns the output's own snapshot (so a pipeline threads one
-    snapshot through its passes, paying one type inference per pass).
-    On failure records {!Obs.Ev_lint_fail} in [trace] (when tracing is
-    on) and raises {!Lint_error} carrying a crash dump that names the
-    offending pass. *)
+    snapshot through its passes, paying one walk and one type lookup
+    per pass). On failure records {!Obs.Ev_lint_fail} in [trace] (when
+    tracing is on) and raises {!Lint_error} carrying a crash dump that
+    names the offending pass. *)
+
+val check_group :
+  ?trace:Obs.t ->
+  pass:string ->
+  st ->
+  (string * Lang.Syntax.expr) list ->
+  unit
+(** [check_group ~pass body group] lints the Prelude group kept around
+    the body that [body] snapshots: the group must be a sublist of
+    [Prelude.defs]' own pairs ("group"), bind no name twice
+    ("binder-uniqueness"), and bind every Prelude name that the body or
+    a kept binding uses ("scope"). Fails as {!check_pass} does. *)

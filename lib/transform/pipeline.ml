@@ -259,6 +259,19 @@ let sabotage name e =
 
 let max_rounds = 8
 
+(* A [Prelude.wrap]ped root, recognised as [Resolve.expr] does by the
+   physical identity of the shared bindings list, is split once into
+   its group and its body. No pass rewrites a Prelude binding (each is a
+   fixpoint of every pass), so passes, the ablation hook and the linter
+   see only the body; each round then trims the group to what the body
+   reaches, which is prune's rule at the root, applied after the body's
+   own prune as [Rewrite.bottom_up] ordered them. The term is rebuilt at
+   the end, so the output is the one a walk of the whole term gives. Any
+   other root is a body with an empty group. *)
+let split = function
+  | Letrec (defs, body) when defs == Lang.Prelude.defs -> (defs, body)
+  | e -> ([], e)
+
 let optimize ?(lint = true) ?break_pass ?trace mode e =
   let size_before = size e in
   let tally = Hashtbl.create 8 in
@@ -276,8 +289,9 @@ let optimize ?(lint = true) ?break_pass ?trace mode e =
     lint_time := !lint_time +. (Int64.to_float dt *. 1e-9);
     r
   in
+  let group, body = split e in
   let st = ref None in
-  if lint then st := Some (timed (fun () -> Lint.snapshot e));
+  if lint then st := Some (timed (fun () -> Lint.snapshot body));
   (* A pass that returned its input unchanged has nothing to check —
      that term is the one the previous check already blessed. Skipping
      the no-ops is what keeps the linter's share of pipeline time small
@@ -294,11 +308,30 @@ let optimize ?(lint = true) ?break_pass ?trace mode e =
       e'
     end
   in
+  (* Prune's rule at the root: the group keeps what the body reaches,
+     and the trim is checked as prune's output. *)
+  let trim group body =
+    match group with
+    | [] -> (group, 0)
+    | _ ->
+        let live = Analysis.Occurrence.reachable_bindings group body in
+        let n = List.length group - List.length live in
+        if n = 0 then (group, 0)
+        else begin
+          Option.iter
+            (fun prev ->
+              timed (fun () -> Lint.check_group ?trace ~pass:"prune" prev live);
+              incr lint_checks)
+            !st;
+          (live, n)
+        end
+  in
   let sabotaged = ref false in
-  let round e0 =
+  let round (group, e0) =
     let e1, n = prune_pass e0 in
     let e1 = check ~input:e0 "prune" e1 in
-    bump "prune" n;
+    let group, m = trim group e1 in
+    bump "prune" (n + m);
     let e2, n = simplify_pass e1 in
     let e2 = check ~input:e1 "simplify" e2 in
     bump "simplify" n;
@@ -330,16 +363,18 @@ let optimize ?(lint = true) ?break_pass ?trace mode e =
     let e7, n = simplify_pass e6 in
     let e7 = check ~input:e6 "simplify" e7 in
     bump "simplify" n;
-    e7
+    (group, e7)
   in
-  let rec go e rounds =
-    if rounds >= max_rounds then (e, rounds)
+  let rec go ((group, e) as ge) rounds =
+    if rounds >= max_rounds then (ge, rounds)
     else
-      let e' = round e in
+      let ((group', e') as ge') = round ge in
       let rounds = rounds + 1 in
-      if e' == e || equal e' e then (e', rounds) else go e' rounds
+      if group' == group && (e' == e || equal e' e) then (ge', rounds)
+      else go ge' rounds
   in
-  let e', rounds = go e 0 in
+  let (group, body), rounds = go (group, body) 0 in
+  let e' = match group with [] -> body | _ -> Letrec (group, body) in
   let site k = try Hashtbl.find tally k with Not_found -> 0 in
   let report =
     {

@@ -13,7 +13,15 @@
     case-of-case, case-commute, cbv, simplify) to a fixpoint, and after
     {e every} pass output runs the {!Lint} checker against the pass
     input — a violation aborts with {!Lint.Lint_error} naming the
-    offending pass instead of letting a corrupted term reach a machine. *)
+    offending pass instead of letting a corrupted term reach a machine.
+
+    A [Prelude.wrap]ped root (its group physically [Prelude.defs]) is
+    split once into group and body. No pass rewrites a Prelude binding,
+    so the passes and the linter see only the body; after the body's
+    own prune, each round trims the group to the bindings the body
+    reaches ({!Lint.check_group} checks the trim), and the term is
+    rebuilt at the end: the output is the one a walk of the whole term
+    gives. *)
 
 type mode = Imprecise | Fixed_order_with_effect_analysis
 
@@ -55,9 +63,10 @@ val inline_pass : Lang.Syntax.expr -> Lang.Syntax.expr * int
 
 val prune_pass : Lang.Syntax.expr -> Lang.Syntax.expr * int
 (** Dead-binding elimination in [letrec] groups: bindings not reachable
-    from the body are dropped (this is what shrinks the full Prelude
-    wrapper down to the functions a program actually uses). Returns the
-    number of bindings removed. *)
+    from the body are dropped. Returns the number of bindings removed.
+    {!optimize} runs it on a wrapped program's body only; the same rule
+    at the root, applied by the driver to the split-off group, is what
+    shrinks the Prelude down to the functions a program uses. *)
 
 val case_of_case_pass : Lang.Syntax.expr -> Lang.Syntax.expr * int
 (** [case (case s of {p -> a}) of alts] becomes

@@ -2,9 +2,9 @@ open Lang.Syntax
 
 (* [map_children] preserves physical identity: an untouched node (no
    child changed) is returned as-is, not rebuilt. Downstream consumers
-   lean on this — the pipeline's no-op detection and the linter's
-   pristine-prelude fast paths start with pointer comparisons, which
-   only hit if rewriting shares what it does not change. *)
+   lean on this — the pipeline's no-op detection starts with a pointer
+   comparison, which only hits if rewriting shares what it does not
+   change. *)
 let map_sharing f xs =
   let changed = ref false in
   let ys =

@@ -650,8 +650,9 @@ let suite =
             Alcotest.(check int) "a request for 1 allocates one cell" 1
               (List.assoc "allocations" (snd (request engine "one" "1"))))
           (* Bytecode fuses transitions, so its slice must be shorter to
-             land inside [newline]. *)
-          [ (Serve.Slot, 7); (Serve.Bytecode, 5) ]);
+             land inside [newline]: the first interrupt fires after the
+             root's entry and the slice, at step 8 (slot) or 6. *)
+          [ (Serve.Slot, 6); (Serve.Bytecode, 4) ]);
     tc "a request whose heap outgrows its start answers as one-shot"
       (fun () ->
         (* The heap doubles out of its minor-heap start into the major
@@ -673,4 +674,34 @@ let suite =
             Alcotest.(check string) "served" want
               (eval_one engine (Serve.session engine) "g" "" src))
           [ Serve.Slot; Serve.Bytecode ]);
+    tc "a pause chain as long as the slice still makes progress" (fun () ->
+        (* A resume re-enters each cell the last interrupt paused, one
+           step a cell; the next interrupt fires only after [slice]
+           steps past that. The deep [foldr] grows a chain past the
+           default slice of 4,096; [sum] at slice 1 or 7 is a short
+           chain at a tiny slice. All of them once burnt their fuel
+           re-entering the chain. *)
+        let serve backend slice src =
+          let engine =
+            Serve.create
+              ~config:{ Serve.default_config with Serve.backend; slice }
+              ()
+          in
+          eval_one engine (Serve.session engine) "s" "" src
+        in
+        List.iter
+          (fun (name, backend) ->
+            Alcotest.(check string)
+              (name ^ ": deep foldr at the default slice")
+              "ok s 8002000"
+              (serve backend Serve.default_config.Serve.slice
+                 "foldr (\\x acc -> x + acc) 0 (enumFromTo 1 4000)");
+            List.iter
+              (fun slice ->
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: sum at slice %d" name slice)
+                  "ok s 55"
+                  (serve backend slice "sum (enumFromTo 1 10)"))
+              [ 1; 7 ])
+          [ ("slot", Serve.Slot); ("bytecode", Serve.Bytecode) ]);
   ]

@@ -291,4 +291,136 @@ let suite =
             ("falls to default", to_default, dint 99);
             ("falls to matching alt", to_right, dint 7);
           ]);
+    tc "check_group: the kept Prelude group binds what is used, once"
+      (fun () ->
+        let body = parse_raw "sum (enumFromTo 1 3)" in
+        let st = Lint.snapshot body in
+        let group = Analysis.Occurrence.reachable_bindings Prelude.defs body in
+        Lint.check_group ~pass:"prune" st group;
+        let without x = List.filter (fun (y, _) -> y <> x) group in
+        let fails what cat g =
+          match Lint.check_group ~pass:"prune" st g with
+          | () -> Alcotest.failf "%s: lint did not fire" what
+          | exception Lint.Lint_error { pass; violations; _ } ->
+              Alcotest.(check string) (what ^ ": blamed pass") "prune" pass;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: fires the %s check" what cat)
+                true
+                (List.exists (fun v -> String.equal v.Lint.check cat)
+                   violations)
+        in
+        fails "dropping sum, which the body uses" "scope" (without "sum");
+        fails "dropping foldl, which only sum uses" "scope" (without "foldl");
+        fails "binding sum twice" "binder-uniqueness"
+          (List.find (fun (x, _) -> x = "sum") group :: group));
+    tc "every Prelude binding is a fixpoint of every pass, in both modes"
+      (fun () ->
+        (* The optimiser rewrites only a wrapped program's body and
+           trims the Prelude group around it; that is the same output
+           only while no pass would rewrite a Prelude binding. *)
+        let passes mode =
+          [
+            ("prune", Pipeline.prune_pass);
+            ("simplify", Pipeline.simplify_pass);
+            ("inline", Pipeline.inline_pass);
+            ("case-of-case", Pipeline.case_of_case_pass);
+            ( "case-commute",
+              fun e ->
+                let e', n, b = Pipeline.case_commute_pass mode e in
+                (e', n + b) );
+            ( "cbv",
+              fun e ->
+                let e', n, b = Pipeline.cbv_pass mode e in
+                (e', n + b) );
+          ]
+        in
+        List.iter
+          (fun mode ->
+            List.iter
+              (fun (pass, run) ->
+                List.iter
+                  (fun (x, rhs) ->
+                    let rhs', n = run rhs in
+                    if n <> 0 || rhs' != rhs then
+                      Alcotest.failf "%s rewrites the Prelude's %s" pass x)
+                  Prelude.defs)
+              (passes mode))
+          [ Pipeline.Imprecise; Pipeline.Fixed_order_with_effect_analysis ]);
+    tc "optimiser reports on the pure corpus are pinned, in both modes"
+      (fun () ->
+        (* rounds, sites per pass (prune, simplify, inline, case-of-case,
+           case-commute, cbv), size after, lint checks. *)
+        let pinned =
+          [
+            ("black-hole", "2 125 0 0 0 0 0 5 1", "2 125 0 0 0 0 0 5 1");
+            ( "case-exceptional-scrutinee",
+              "2 125 3 0 0 0 0 1 2",
+              "2 125 3 0 0 0 0 1 2" );
+            ("div-plus-error", "2 125 0 0 0 0 0 7 1", "2 125 0 0 0 0 0 7 1");
+            ("gen-000075", "3 125 0 0 1 0 2 11 3", "2 125 0 0 0 0 0 11 1");
+            ("gen-000086", "2 118 0 1 0 0 1 156 3", "2 118 0 1 0 0 0 156 2");
+            ("gen-000090", "2 121 0 0 0 0 1 85 2", "2 121 0 0 0 0 0 85 1");
+            ("gen-000092", "2 120 0 0 0 0 0 121 1", "2 120 0 0 0 0 0 121 1");
+            ("gen-000096", "2 124 0 0 0 0 0 22 1", "2 124 0 0 0 0 0 22 1");
+            ("gen-000121", "2 122 1 0 0 0 0 69 2", "2 122 1 0 0 0 0 69 2");
+            ("gen-000367", "2 117 1 0 0 0 0 148 2", "2 117 1 0 0 0 0 148 2");
+            ("head-nil", "2 124 0 0 0 0 0 11 1", "2 124 0 0 0 0 0 11 1");
+            ( "map-exception-non-function",
+              "2 125 0 0 0 0 0 5 1",
+              "2 125 0 0 0 0 0 5 1" );
+            ("map-exception", "2 125 0 0 0 0 0 10 1", "2 125 0 0 0 0 0 10 1");
+            ("prelude-sum", "2 122 0 0 0 0 0 53 1", "2 122 0 0 0 0 0 53 1");
+            ("rule-beta-1", "2 125 0 0 0 0 0 6 1", "2 125 0 0 0 0 0 6 1");
+            ("rule-dead_let-0", "2 125 1 0 0 0 0 1 2", "2 125 1 0 0 0 0 1 2");
+            ("seq-error", "2 125 0 0 0 0 0 5 1", "2 125 0 0 0 0 0 5 1");
+            ( "shared-exceptional-list",
+              "2 125 0 0 0 0 0 9 1",
+              "2 125 0 0 0 0 0 9 1" );
+            ("shared-poison", "2 125 0 0 0 0 1 7 2", "2 125 0 0 0 0 0 7 1");
+          ]
+        in
+        let corpus =
+          Corpus.pure (fst (Corpus.load_dir (Lazy.force corpus_dir)))
+        in
+        Alcotest.(check (list string))
+          "the pinned programs are the pure corpus"
+          (List.map (fun (n, _, _) -> n) pinned)
+          (List.map (fun e -> e.Corpus.name) corpus);
+        List.iter2
+          (fun (name, imp, fix) e ->
+            List.iter
+              (fun (mode, want) ->
+                let e', r =
+                  Pipeline.optimize mode (Prelude.wrap e.Corpus.expr)
+                in
+                Alcotest.(check string)
+                  (Fmt.str "%s [%a]" name Pipeline.pp_report r)
+                  want
+                  (String.concat " "
+                     (List.map string_of_int
+                        ((r.Pipeline.rounds :: List.map snd r.Pipeline.sites)
+                        @ [ r.Pipeline.size_after; r.Pipeline.lint_checks ])));
+                (* No body here has a [letrec] that prune trims, so
+                   prune's sites are the group's dropped bindings; an
+                   emptied group leaves the bare body. *)
+                let kept =
+                  List.length Prelude.defs - List.assoc "prune" r.Pipeline.sites
+                in
+                if kept > 0 then
+                  match e' with
+                  | Letrec (group, _) ->
+                      Alcotest.(check int) (name ^ ": kept") kept
+                        (List.length group);
+                      List.iter
+                        (fun ((x, _) as d) ->
+                          if not (List.memq d Prelude.defs) then
+                            Alcotest.failf "%s: kept %s is not a Prelude pair"
+                              name x)
+                        group
+                  | _ -> Alcotest.failf "%s: the group is gone" name)
+              [
+                (Pipeline.Imprecise, imp);
+                (Pipeline.Fixed_order_with_effect_analysis, fix);
+              ])
+          pinned corpus);
   ]
