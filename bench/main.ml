@@ -9,10 +9,13 @@
    sites a fixed-order compiler loses (Section 3.4), and (e) the work
    saved by resumable async unwinding (Section 5.1).
 
-   The deterministic counters (machine steps, dispatches, inline-cache
-   hits, events, threads) are the reproducible "numbers" recorded in
-   EXPERIMENTS.md; every wall-clock column comes from one timer,
-   {!time_pair}. *)
+   Every figure is recorded once, as a {!row}, where it is computed: the
+   tables print from the rows, BENCH.json holds every row of the run,
+   and the deterministic counters (machine steps, dispatches,
+   inline-cache hits, allocations, events, threads) are the reproducible
+   "numbers" recorded in EXPERIMENTS.md, gated against
+   bench/baseline.json. Every head-to-head wall-clock figure comes from
+   one timer, {!time_pair}. *)
 
 open Imprecise
 
@@ -21,11 +24,169 @@ let line = String.make 78 '-'
 let header title =
   Fmt.pr "@.%s@.%s@.%s@." line title line
 
+let fail fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "bench: %s@." msg;
+      exit 1)
+    fmt
+
+(* ------------------------------------------------------------------ *)
+(* Rows: every number the tables report                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A [Counter] repeats exactly from run to run, and only counters are
+   gated; an [Ns] is a wall-clock time in nanoseconds; a [Ratio] is a
+   ratio that involves a time. *)
+type kind = Counter | Ns | Ratio
+
+(* One cell of one table. [value] is the figure as printed, with the
+   decimals it was recorded with, so the table, BENCH.json and the gate
+   read the same number; [trials] is the timer's, 1 for a counter. *)
+type row = {
+  table : string;
+  row : string;
+  metric : string;
+  kind : kind;
+  value : string;
+  trials : int;
+}
+
+let recorded : row list ref = ref [] (* newest first *)
+
+(* Cells that are not numbers (Table C's outcomes, Table S's fault-mode
+   verdicts): printed after the numbers, never written. *)
+let texts : (string * string * string * string) list ref = ref []
+
+let record ?(digits = 0) ?(trials = 1) kind table row metric v =
+  let value = Printf.sprintf "%.*f" digits v in
+  recorded := { table; row; metric; kind; value; trials } :: !recorded
+
+let count ?digits = record ?digits Counter
+let ratio ?(digits = 2) ~trials = record ~digits ~trials Ratio
+let text table row metric s = texts := (table, row, metric, s) :: !texts
+
+(* A table's cells as a grid: a line per row and a column per metric,
+   each in the order first recorded, [first] heading the row names. *)
+let show ?(first = "metric") table =
+  let cells =
+    List.filter
+      (fun (t, _, _, _) -> t = table)
+      (List.rev_map (fun r -> (r.table, r.row, r.metric, r.value)) !recorded
+      @ List.rev !texts)
+  in
+  let firsts f =
+    List.fold_left
+      (fun seen c -> if List.mem (f c) seen then seen else seen @ [ f c ])
+      [] cells
+  in
+  let rows = firsts (fun (_, r, _, _) -> r)
+  and metrics = firsts (fun (_, _, m, _) -> m) in
+  let cell r m =
+    match List.find_opt (fun (_, r', m', _) -> r' = r && m' = m) cells with
+    | Some (_, _, _, v) -> v
+    | None -> ""
+  in
+  let lines =
+    (first :: metrics)
+    :: List.map (fun r -> r :: List.map (cell r) metrics) rows
+  in
+  let widths =
+    List.fold_left
+      (List.map2 (fun w s -> max w (String.length s)))
+      (List.map (fun _ -> 0) (first :: metrics))
+      lines
+  in
+  List.iter
+    (fun cols ->
+      List.iteri
+        (fun i (w, s) ->
+          if i = 0 then Fmt.pr "%-*s" w s else Fmt.pr "  %*s" w s)
+        (List.combine widths cols);
+      Fmt.pr "@.")
+    lines
+
+let kind_name = function Counter -> "counter" | Ns -> "ns" | Ratio -> "ratio"
+
+let write_rows file rows =
+  let json r =
+    Printf.sprintf
+      "{\"table\":%S,\"row\":%S,\"metric\":%S,\"kind\":%S,\"value\":%s,\"trials\":%d}"
+      r.table r.row r.metric (kind_name r.kind) r.value r.trials
+  in
+  let oc = open_out file in
+  output_string oc
+    ("[\n" ^ String.concat ",\n" (List.map json rows) ^ "\n]\n");
+  close_out oc
+
+(* The rows of a file in {!write_rows}'s schema, as
+   [((table, row, metric), value)]; spacing and line breaks are free. *)
+let read_rows file =
+  let objects =
+    String.split_on_char '}'
+      (In_channel.with_open_bin file In_channel.input_all)
+  in
+  List.filter_map
+    (fun chunk ->
+      match String.index_opt chunk '{' with
+      | None -> None
+      | Some i -> (
+          let obj = String.sub chunk i (String.length chunk - i) in
+          try
+            Scanf.sscanf obj
+              "{ \"table\" : %S , \"row\" : %S , \"metric\" : %S , \"kind\" : \
+               %_S , \"value\" : %[-+0-9.eE] , \"trials\" : %_d"
+              (fun t r m v -> ignore (float_of_string v); Some ((t, r, m), v))
+          with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+            fail "%s: not a row: %s}" file obj))
+    objects
+
+(* The counter gate. Every row of bench/baseline.json must come out with
+   its value, and under [--smoke] every counter must be one of its rows
+   (a full run's extra rows, Table C' at 100k threads, are not checked).
+   A change that moves a counter on purpose refreshes the file from
+   BENCH.json's counter rows and says why. *)
+let gate ~smoke =
+  let file =
+    match Corpus.find_upward "bench/baseline.json" with
+    | Ok f -> f
+    | Error tried ->
+        fail "no bench/baseline.json; tried %s" (String.concat ", " tried)
+  in
+  let baseline = read_rows file in
+  let now = List.rev !recorded in
+  let key r = (r.table, r.row, r.metric) in
+  let drift =
+    List.filter_map
+      (fun (k, was) ->
+        match List.find_opt (fun r -> key r = k) now with
+        | Some r when float_of_string r.value = float_of_string was -> None
+        | Some r -> Some (k, was, r.value)
+        | None -> Some (k, was, "missing"))
+      baseline
+    @ List.filter_map
+        (fun r ->
+          if smoke && r.kind = Counter && not (List.mem_assoc (key r) baseline)
+          then Some (key r, "missing", r.value)
+          else None)
+        now
+  in
+  List.iter
+    (fun ((t, r, m), was, is) ->
+      Fmt.epr "%s/%s/%s: baseline %s, now %s@." t r m was is)
+    drift;
+  if drift <> [] then
+    fail "%d counter rows differ from %s" (List.length drift) file;
+  Fmt.pr "(%d counters as in %s)@." (List.length baseline) file
+
 (* ------------------------------------------------------------------ *)
 (* Wall-clock timing                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type timing = { mean_ns : float; sd_ns : float; min_ns : float; trials : int }
+type timing = { min_ns : float; trials : int }
+
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
+let ns table row metric t = record ~trials:t.trials Ns table row metric t.min_ns
 
 (* Paired timing for a head-to-head comparison: the two thunks take
    their trials interleaved, with the order flipped every round, so a
@@ -33,43 +194,30 @@ type timing = { mean_ns : float; sd_ns : float; min_ns : float; trials : int }
    table) degrades both sides alike instead of whichever happened to run
    second. The estimator is min-of-trials — the standard robust
    statistic for wall-clock microbenchmarks, since interference only
-   ever adds time; mean and standard deviation ride along in the JSON
-   files. *)
+   ever adds time. *)
 let time_pair ?(warmup = 2) ?(trials = 7) (f : unit -> unit)
     (g : unit -> unit) : timing * timing =
   for _ = 1 to warmup do
     f ();
     g ()
   done;
-  let sample h =
-    let t0 = Monotonic_clock.now () in
+  let sample best h =
+    let t0 = now_ns () in
     h ();
-    let t1 = Monotonic_clock.now () in
-    Int64.to_float (Int64.sub t1 t0)
+    best := min !best (now_ns () -. t0)
   in
-  let fs = ref [] and gs = ref [] in
+  let bf = ref infinity and bg = ref infinity in
   for i = 1 to trials do
     if i land 1 = 1 then begin
-      fs := sample f :: !fs;
-      gs := sample g :: !gs
+      sample bf f;
+      sample bg g
     end
     else begin
-      gs := sample g :: !gs;
-      fs := sample f :: !fs
+      sample bg g;
+      sample bf f
     end
   done;
-  let stat samples =
-    let n = float_of_int trials in
-    let mean = List.fold_left ( +. ) 0.0 samples /. n in
-    let var =
-      List.fold_left
-        (fun a s -> a +. (((s -. mean) ** 2.0) /. n))
-        0.0 samples
-    in
-    let mn = List.fold_left min infinity samples in
-    { mean_ns = mean; sd_ns = sqrt var; min_ns = mn; trials }
-  in
-  (stat !fs, stat !gs)
+  ({ min_ns = !bf; trials }, { min_ns = !bg; trials })
 
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
@@ -113,26 +261,19 @@ let machine_steps ?(config = Machine.default_config) e =
    one or an entry that does not parse ends the run. *)
 let pure_corpus =
   lazy
-    (let fail fmt =
-       Fmt.kstr
-         (fun msg ->
-           Fmt.epr "bench: %s@." msg;
-           exit 1)
-         fmt
-     in
-     match Corpus.find_dir () with
-     | Error tried ->
-         fail "no fuzz/corpus directory; tried %s" (String.concat ", " tried)
-     | Ok dir -> (
-         match Corpus.load_dir dir with
-         | _, (_ :: _ as errors) ->
-             fail "%s: %s" dir
-               (String.concat "; "
-                  (List.map (fun (f, e) -> f ^ ": " ^ e) errors))
-         | entries, [] -> (
-             match Corpus.pure entries with
-             | [] -> fail "%s holds no pure program" dir
-             | pure -> pure)))
+    (match Corpus.find_dir () with
+    | Error tried ->
+        fail "no fuzz/corpus directory; tried %s" (String.concat ", " tried)
+    | Ok dir -> (
+        match Corpus.load_dir dir with
+        | _, (_ :: _ as errors) ->
+            fail "%s: %s" dir
+              (String.concat "; "
+                 (List.map (fun (f, e) -> f ^ ": " ^ e) errors))
+        | entries, [] -> (
+            match Corpus.pure entries with
+            | [] -> fail "%s holds no pure program" dir
+            | pure -> pure)))
 
 (* ------------------------------------------------------------------ *)
 (* Table L — the Section 4.5 law table (claim C5/E6)                   *)
@@ -140,11 +281,12 @@ let pure_corpus =
 
 let table_laws () =
   header "Table L (Section 4.5): transformation validity by design";
-  let rows = Laws.table () in
-  Fmt.pr "%a" Laws.pp_table rows;
-  Fmt.pr "claims verified: %d/%d@."
-    (List.length (List.filter Laws.matches_claim rows))
-    (List.length rows)
+  let laws = Laws.table () in
+  Fmt.pr "%a" Laws.pp_table laws;
+  count "L" "claims" "verified"
+    (float (List.length (List.filter Laws.matches_claim laws)));
+  count "L" "claims" "laws" (float (List.length laws));
+  show "L"
 
 (* ------------------------------------------------------------------ *)
 (* Table E — ExVal encoding overhead (claim C6, Section 2.2)           *)
@@ -157,8 +299,6 @@ let table_exval () =
   header
     "Table E (Section 2.2): explicit ExVal encoding vs native exceptions \
      (machine steps; exception-free runs)";
-  Fmt.pr "%-22s %12s %12s %8s %12s %8s@." "workload" "direct" "encoded"
-    "steps x" "code-size x" "time x";
   let big_fuel = { Machine.default_config with fuel = 50_000_000 } in
   List.iter
     (fun (name, src) ->
@@ -173,15 +313,18 @@ let table_exval () =
       let t_direct, t_enc =
         time_pair (run (Resolve.expr e)) (run (Resolve.expr encoded))
       in
-      Fmt.pr "%-22s %12d %12d %8.2f %12.2f %8.2f@." name direct enc
-        (float_of_int enc /. float_of_int direct)
-        (Exval.code_blowup e)
+      count "E" name "direct" (float direct);
+      count "E" name "encoded" (float enc);
+      count ~digits:2 "E" name "steps x" (float enc /. float direct);
+      count ~digits:2 "E" name "code-size x" (Exval.code_blowup e);
+      ratio ~trials:t_enc.trials "E" name "time x"
         (t_enc.min_ns /. t_direct.min_ns))
     [
       ("fib 14", fib 14);
       ("sum 1..2000", sum_to 2000);
       ("map/filter 1..500", pipeline 500);
-    ]
+    ];
+  show ~first:"workload" "E"
 
 (* ------------------------------------------------------------------ *)
 (* Table N — no-exception cost of the catch frame (claim C6b, 3.3)     *)
@@ -191,8 +334,6 @@ let table_no_exn () =
   header
     "Table N (Section 3.3): cost of an installed handler when no \
      exception occurs (machine steps)";
-  Fmt.pr "%-22s %14s %14s %10s@." "workload" "no handler" "with handler"
-    "overhead";
   List.iter
     (fun (name, src) ->
       let e = parse src in
@@ -208,13 +349,15 @@ let table_no_exn () =
         ignore (Machine.force_catch m a);
         (Machine.stats m).Stats.steps
       in
-      Fmt.pr "%-22s %14d %14d %10d@." name without with_catch
-        (with_catch - without))
+      count "N" name "no handler" (float without);
+      count "N" name "with handler" (float with_catch);
+      count "N" name "overhead" (float (with_catch - without)))
     [
       ("fib 12", fib 12);
       ("sum 1..1000", sum_to 1000);
       ("map/filter 1..300", pipeline 300);
-    ]
+    ];
+  show ~first:"workload" "N"
 
 (* ------------------------------------------------------------------ *)
 (* Table R — raise cost is distance to handler (claim C7, 3.3)         *)
@@ -224,8 +367,6 @@ let table_raise () =
   header
     "Table R (Section 3.3): raise trims the stack to the handler — cost \
      scales with distance, not program size";
-  Fmt.pr "%-12s %12s %16s %16s@." "depth" "steps" "frames trimmed"
-    "thunks poisoned";
   List.iter
     (fun d ->
       let m = Machine.create () in
@@ -233,10 +374,12 @@ let table_raise () =
       (match Machine.force_catch m a with
       | Error (Machine.Fail_exn _) -> ()
       | _ -> failwith "expected a caught raise");
-      let s = Machine.stats m in
-      Fmt.pr "%-12d %12d %16d %16d@." d s.Stats.steps s.Stats.frames_trimmed
-        s.Stats.thunks_poisoned)
-    [ 10; 100; 1_000; 5_000; 20_000 ]
+      let s = Machine.stats m and depth = string_of_int d in
+      count "R" depth "steps" (float s.Stats.steps);
+      count "R" depth "frames trimmed" (float s.Stats.frames_trimmed);
+      count "R" depth "thunks poisoned" (float s.Stats.thunks_poisoned))
+    [ 10; 100; 1_000; 5_000; 20_000 ];
+  show ~first:"depth" "R"
 
 (* ------------------------------------------------------------------ *)
 (* Table O — optimisation sites: imprecise vs fixed order (C8, 3.4)    *)
@@ -246,8 +389,6 @@ let table_opt () =
   header
     "Table O (Section 3.4): strictness-driven call-by-value sites \
      enabled, and machine steps after optimisation";
-  Fmt.pr "%-18s %10s %10s %12s %12s %12s@." "workload" "imp sites"
-    "fix sites" "steps orig" "steps imp" "steps fix";
   List.iter
     (fun (name, src) ->
       let e = parse src in
@@ -256,20 +397,23 @@ let table_opt () =
       let fix_e, _ =
         Pipeline.optimize Pipeline.Fixed_order_with_effect_analysis e
       in
-      Fmt.pr "%-18s %10d %10d %12d %12d %12d@." name imp_sites fix_sites
-        (machine_steps e) (machine_steps imp_e) (machine_steps fix_e))
+      count "O" name "imp sites" (float imp_sites);
+      count "O" name "fix sites" (float fix_sites);
+      count "O" name "steps orig" (float (machine_steps e));
+      count "O" name "steps imp" (float (machine_steps imp_e));
+      count "O" name "steps fix" (float (machine_steps fix_e)))
     [
       ("cbv 1..200", cbv_workload 200);
       ("cbv 1..1000", cbv_workload 1000);
       ("fib 12", fib 12);
     ];
+  show ~first:"workload" "O";
   (* End-to-end (claim C23): the serve corpus optimised before
      compilation, exactly as [impexn serve --optimize] does it — total
      slot-machine steps and bytecode dispatches, original vs optimised,
      plus the linter's share of pipeline wall time. The reductions and
      the lint-overhead bound are asserted, not just printed. *)
   let pure = Lazy.force pure_corpus in
-  let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9 in
   let lint_time = ref 0.0 and lint_checks = ref 0 in
   let run_once () =
     List.map
@@ -292,33 +436,27 @@ let table_opt () =
      — noise only ever pushes the ratio {e up}. The intrinsic overhead
      is therefore estimated as the minimum share over several batches,
      numerator and denominator taken from the same batch. *)
-  ignore (run_once ());
+  let pairs = run_once () in
   let reps = 20 and batches = 8 in
-  let pairs = ref [] in
-  let best_share = ref infinity
-  and best_wall = ref 0.0
+  let lint_share = ref infinity
   and best_lint = ref 0.0
   and best_checks = ref 0 in
   for _ = 1 to batches do
     lint_time := 0.0;
     lint_checks := 0;
-    let t0 = now_s () in
+    let t0 = now_ns () in
     for _ = 1 to reps do
-      pairs := run_once ()
+      ignore (run_once ())
     done;
-    let wall = now_s () -. t0 in
+    let wall = (now_ns () -. t0) /. 1e9 in
     let share = if wall > 0.0 then !lint_time /. wall else 0.0 in
-    if share < !best_share then begin
-      best_share := share;
-      best_wall := wall;
+    if share < !lint_share then begin
+      lint_share := share;
       best_lint := !lint_time;
       best_checks := !lint_checks
     end
   done;
-  let opt_time = !best_wall /. float_of_int reps in
-  let pairs = !pairs in
-  let lint_time = ref (!best_lint /. float_of_int reps) in
-  let lint_checks = ref (!best_checks / reps) in
+  let lint_share = !lint_share in
   let sum f = List.fold_left (fun a p -> a + f p) 0 pairs in
   let steps_orig = sum (fun (w, _) -> machine_steps w) in
   let steps_opt = sum (fun (_, wo) -> machine_steps wo) in
@@ -328,31 +466,24 @@ let table_opt () =
   in
   let disp_orig = sum (fun (w, _) -> disp_of w) in
   let disp_opt = sum (fun (_, wo) -> disp_of wo) in
-  let pct a b =
-    if a > 0 then 100.0 *. float_of_int (a - b) /. float_of_int a else 0.0
+  let saved row orig opt =
+    count "O corpus" row "original" (float orig);
+    count "O corpus" row "optimised" (float opt);
+    count ~digits:1 "O corpus" row "saved %"
+      (if orig > 0 then 100.0 *. float (orig - opt) /. float orig else 0.0)
   in
-  let lint_share = if opt_time > 0.0 then !lint_time /. opt_time else 0.0 in
+  saved "slot-machine steps" steps_orig steps_opt;
+  saved "bytecode dispatches" disp_orig disp_opt;
   Fmt.pr "@.serve corpus, %d programs, optimised end-to-end:@."
     (List.length pairs);
-  Fmt.pr "%-26s %12s %12s %10s@." "metric" "original" "optimised" "saved";
-  Fmt.pr "%-26s %12d %12d %9.1f%%@." "slot-machine steps" steps_orig
-    steps_opt (pct steps_orig steps_opt);
-  Fmt.pr "%-26s %12d %12d %9.1f%%@." "bytecode dispatches" disp_orig
-    disp_opt (pct disp_orig disp_opt);
-  Fmt.pr "%-26s %12.2f ms wall (%d lint checks, %.1f%% of pipeline)@."
-    "lint overhead" (!lint_time *. 1000.) !lint_checks
+  show "O corpus";
+  record ~trials:batches Ns "O lint" "lint overhead" "wall ns"
+    (!best_lint /. float reps *. 1e9);
+  count "O lint" "lint overhead" "lint checks" (float (!best_checks / reps));
+  ratio ~digits:1 ~trials:batches "O lint" "lint overhead" "% of pipeline"
     (100.0 *. lint_share);
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"opt_serve\",\"wallclock\":true,\"programs\":%d,\"steps_orig\":%d,\"steps_opt\":%d,\"step_reduction_pct\":%.2f,\"bc_dispatches_orig\":%d,\"bc_dispatches_opt\":%d,\"dispatch_reduction_pct\":%.2f,\"optimize_wall_s\":%.5f,\"lint_wall_s\":%.5f,\"lint_share\":%.4f,\"lint_checks\":%d}\n"
-      (List.length pairs) steps_orig steps_opt (pct steps_orig steps_opt)
-      disp_orig disp_opt (pct disp_orig disp_opt) opt_time !lint_time
-      lint_share !lint_checks
-  in
-  let oc = open_out "BENCH_O.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "(BENCH_O.json written)@.";
+  Fmt.pr "@.";
+  show "O lint";
   if steps_opt >= steps_orig then begin
     Fmt.epr
       "table_opt: optimisation saved no slot steps on the corpus (%d -> \
@@ -381,8 +512,6 @@ let table_async () =
   header
     "Table A (Section 5.1): resumable pause cells — steps to finish \
      after an interrupt vs restarting from scratch";
-  Fmt.pr "%-14s %14s %14s %14s %12s@." "interrupt at" "scratch" "prefix"
-    "resume" "saved";
   let src = sum_to 3000 in
   let scratch = machine_steps (parse src) in
   List.iter
@@ -397,11 +526,14 @@ let table_async () =
       (match Machine.force_catch m a with
       | Ok _ -> ()
       | Error f -> Fmt.failwith "resume failed: %a" Runtime.pp_failure f);
-      let total = (Machine.stats m).Stats.steps in
-      let resume = total - prefix in
-      Fmt.pr "%-14d %14d %14d %14d %11d%%@." k scratch prefix resume
-        (100 * (scratch - resume) / scratch))
-    [ 2_000; 8_000; 20_000 ]
+      let resume = (Machine.stats m).Stats.steps - prefix in
+      let at = string_of_int k in
+      count "A" at "scratch" (float scratch);
+      count "A" at "prefix" (float prefix);
+      count "A" at "resume" (float resume);
+      count "A" at "saved %" (float (100 * (scratch - resume) / scratch)))
+    [ 2_000; 8_000; 20_000 ];
+  show ~first:"interrupt at" "A"
 
 (* ------------------------------------------------------------------ *)
 (* Table M — exception-finding mode cost (Section 4.3, discussion)     *)
@@ -412,7 +544,6 @@ let table_finding () =
     "Table M (Section 4.3): the semantics explores all case \
      alternatives on exceptional scrutinees; the implementation does \
      not (denotational fuel used vs machine steps)";
-  Fmt.pr "%-34s %14s %14s@." "expression" "denot fuel" "machine steps";
   List.iter
     (fun (name, src) ->
       let e = parse src in
@@ -430,15 +561,16 @@ let table_finding () =
           | Value.DBad s when Exn_set.is_all s -> used mid hi
           | _ -> used lo mid
       in
-      let approx = used 1 fuel0 in
-      Fmt.pr "%-34s %14d %14d@." name approx (machine_steps e))
+      count "M" name "denot fuel" (float (used 1 fuel0));
+      count "M" name "machine steps" (float (machine_steps e)))
     [
       ("case (1/0) of 2 alts", "case 1/0 of { Nil -> 1; Cons h t -> 2 }");
       ( "case (1/0) of heavy alts",
         "case 1/0 of { Nil -> sum (enumFromTo 1 500);\n\
          Cons h t -> product (enumFromTo 1 10) }" );
       ("head of exceptional list", "head (forceList [1/0, 5])");
-    ]
+    ];
+  show ~first:"expression" "M"
 
 (* ------------------------------------------------------------------ *)
 (* Table G — heap residency under the copying collector                 *)
@@ -447,7 +579,6 @@ let table_finding () =
 let table_gc () =
   header
     "Table G (substrate): heap cells before/after a copying collection      (root: the final value)";
-  Fmt.pr "%-24s %12s %12s %10s@." "workload" "allocated" "live" "survival";
   List.iter
     (fun (name, src) ->
       let m = Machine.create () in
@@ -458,14 +589,17 @@ let table_gc () =
       | [ _ ] -> ()
       | _ -> failwith "gc roots");
       let after = Runtime.heap_size m in
-      Fmt.pr "%-24s %12d %12d %9.1f%%@." name before after
-        (100.0 *. float_of_int after /. float_of_int before))
+      count "G" name "allocated" (float before);
+      count "G" name "live" (float after);
+      count ~digits:1 "G" name "survival %"
+        (100.0 *. float after /. float before))
     [
       ("sum 1..2000 (scalar)", sum_to 2000);
       ("fib 14 (scalar)", fib 14);
       ("map/filter 1..500", pipeline 500);
       ("take 20 infinite", "take 20 (iterate (\\x -> x + 1) 0)");
-    ]
+    ];
+  show ~first:"workload" "G"
 
 (* ------------------------------------------------------------------ *)
 (* Table C — concurrency scheduler characteristics (Section 4.4 rem.)   *)
@@ -474,13 +608,12 @@ let table_gc () =
 let table_conc () =
   header
     "Table C (Section 4.4 closing remark): forkIO/MVar programs on the      concurrent LTS";
-  Fmt.pr "%-28s %10s %12s %14s@." "program" "threads" "switches" "outcome";
   List.iter
     (fun (name, src) ->
       let r = Conc.run (parse src) in
-      Fmt.pr "%-28s %10d %12d %14s@." name r.Conc.threads_spawned
-        r.Conc.context_switches
-        (Fmt.str "%a" Conc.pp_outcome r.Conc.outcome))
+      count "C" name "threads" (float r.Conc.threads_spawned);
+      count "C" name "switches" (float r.Conc.context_switches);
+      text "C" name "outcome" (Fmt.str "%a" Conc.pp_outcome r.Conc.outcome))
     [
       ( "2-thread interleave",
         "forkIO (putChar 'a' >> putChar 'b') >> putChar 'x' >> return 0" );
@@ -495,7 +628,8 @@ let table_conc () =
          takeMVar mv >>= \\a -> takeMVar mv >>= \\b ->\n\
          takeMVar mv >>= \\c -> return (a + b + c)" );
       ("deadlock", "newEmptyMVar >>= \\mv -> takeMVar mv");
-    ]
+    ];
+  show ~first:"program" "C"
 
 (* ------------------------------------------------------------------ *)
 (* Table H — open exception vocabulary and supervision overhead        *)
@@ -548,8 +682,9 @@ let table_hierarchy () =
   done;
   (* Re-parse: same source, now under the larger constructor table. *)
   let after = machine_steps (parse closed_src) in
-  Fmt.pr "closed-vocabulary steps: %d with 0 user decls, %d with 64@." before
-    after;
+  count "H vocabulary" "closed-vocabulary steps" "0 user decls" (float before);
+  count "H vocabulary" "closed-vocabulary steps" "64 user decls" (float after);
+  show "H vocabulary";
   if before <> after then begin
     Fmt.epr
       "table_hierarchy: declaring exceptions changed a closed program's \
@@ -567,15 +702,12 @@ let table_hierarchy () =
        (enumFromTo 1 60) >>= \\u -> putInt 0"
       (String.concat ", " hs)
   in
-  Fmt.pr "%-24s %12s@." "handler position" "steps";
-  let dispatch_rows =
-    List.map
-      (fun k ->
-        let s = machine_steps (parse (dispatch_src k)) in
-        Fmt.pr "%-24d %12d@." k s;
-        (k, s))
-      [ 1; 2; 4; 8 ]
-  in
+  List.iter
+    (fun k ->
+      count "H dispatch" (string_of_int k) "steps"
+        (float (machine_steps (parse (dispatch_src k)))))
+    [ 1; 2; 4; 8 ];
+  show ~first:"handler position" "H dispatch";
   (* Supervision: a single child that fails exactly [k] times, so the
      tree performs [k] restarts and then comes down cleanly. *)
   let tree_src k =
@@ -586,7 +718,6 @@ let table_hierarchy () =
        if n < %d then throwIO DivideByZero else return 1 ]"
       (k + 1) k
   in
-  Fmt.pr "%-10s %14s %20s@." "restarts" "conc switches" "machine transitions";
   let tree_rows =
     List.map
       (fun k ->
@@ -599,7 +730,10 @@ let table_hierarchy () =
             Fmt.epr "table_hierarchy: k=%d conc %a, machine %a@." k
               Conc.pp_outcome o1 Machine_conc.pp_outcome o2;
             exit 1);
-        (k, r.Conc.context_switches, m.Machine_conc.transitions))
+        let c = r.Conc.context_switches and m = m.Machine_conc.transitions in
+        count "H supervision" (string_of_int k) "conc switches" (float c);
+        count "H supervision" (string_of_int k) "machine transitions" (float m);
+        (k, c, m))
       [ 0; 1; 2; 4 ]
   in
   let base_conc, base_mach =
@@ -610,19 +744,20 @@ let table_hierarchy () =
   let per_restart =
     List.filter_map
       (fun (k, c, m) ->
-        if k = 0 then begin
-          Fmt.pr "%-10d %14d %20d@." k c m;
-          None
-        end
+        if k = 0 then None
         else begin
-          let pc = float_of_int (c - base_conc) /. float_of_int k in
-          let pm = float_of_int (m - base_mach) /. float_of_int k in
-          Fmt.pr "%-10d %14d %20d   (%.1f / %.1f per restart)@." k c m pc pm;
+          let pc = float (c - base_conc) /. float k in
+          let pm = float (m - base_mach) /. float k in
+          count ~digits:1 "H supervision" (string_of_int k) "conc per restart"
+            pc;
+          count ~digits:1 "H supervision" (string_of_int k)
+            "machine per restart" pm;
           Some (k, pc, pm)
         end)
       tree_rows
   in
-  (match (per_restart, List.rev per_restart) with
+  show ~first:"restarts" "H supervision";
+  match (per_restart, List.rev per_restart) with
   | (k1, pc1, pm1) :: _, (kn, pcn, pmn) :: _ when k1 <> kn ->
       if pc1 <= 0. || pm1 <= 0. || pcn /. pc1 > 2. || pmn /. pm1 > 2. then begin
         Fmt.epr
@@ -631,28 +766,7 @@ let table_hierarchy () =
           pc1 pcn pm1 pmn;
         exit 1
       end
-  | _ -> ());
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"exn_hierarchy\",\"closed_vocab\":{\"steps_no_decls\":%d,\"steps_64_decls\":%d,\"zero_dispatch_cost\":%b},\"dispatch\":[%s],\"supervision\":[%s]}\n"
-      before after (before = after)
-      (String.concat ","
-         (List.map
-            (fun (k, s) ->
-              Printf.sprintf "{\"handler_position\":%d,\"steps\":%d}" k s)
-            dispatch_rows))
-      (String.concat ","
-         (List.map
-            (fun (k, c, m) ->
-              Printf.sprintf
-                "{\"restarts\":%d,\"conc_switches\":%d,\"machine_transitions\":%d}"
-                k c m)
-            tree_rows))
-  in
-  let oc = open_out "BENCH_H.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "(BENCH_H.json written)@."
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Table C' — scheduler scaling on producer/consumer networks          *)
@@ -665,9 +779,8 @@ let table_hierarchy () =
    queues and incremental blocked-on graph are exactly what removes the
    seed's O(n) per-step scans. Asserted (not just printed): the
    schedule-count ratio between decade sizes stays within 1.3x of
-   linear, and the two layers' counts agree exactly. Emitted as
-   machine-readable BENCH_C.json; smoke mode runs 1k/10k, the full mode
-   adds 100k. *)
+   linear, and the two layers' counts agree exactly. Smoke mode runs
+   1k/10k, the full mode adds 100k. *)
 let table_conc_scale ~smoke () =
   header
     "Table C' (scheduler scaling): n producers through a bounded channel    (indexed runtime)";
@@ -679,70 +792,45 @@ let table_conc_scale ~smoke () =
        mapM2 (\\i -> readChan ch) (enumFromTo 1 %d) >>= \\u2 ->\n\
        putInt 0" n n
   in
-  let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9 in
-  Fmt.pr "%-10s %10s %12s %12s %10s %10s@." "threads" "spawned" "switches"
-    "transitions" "conc s" "machine s";
   let rows =
     List.map
       (fun n ->
         let e = parse (src n) in
         let budget = 60 * (n + 1) in
-        let t0 = now_s () in
+        let t0 = now_ns () in
         let r = Conc.run ~max_steps:budget e in
-        let t1 = now_s () in
+        let t1 = now_ns () in
         let m = Machine_conc.run ~max_transitions:budget e in
-        let t2 = now_s () in
+        let t2 = now_ns () in
         (match (r.Conc.outcome, m.Machine_conc.outcome) with
         | Conc.Done _, Machine_conc.Done _ -> ()
         | o1, o2 ->
             Fmt.epr "table_conc_scale: n=%d conc %a, machine %a@." n
               Conc.pp_outcome o1 Machine_conc.pp_outcome o2;
             exit 1);
-        Fmt.pr "%-10d %10d %12d %12d %10.3f %10.3f@." n
-          r.Conc.threads_spawned r.Conc.context_switches
-          m.Machine_conc.transitions (t1 -. t0) (t2 -. t1);
-        (n, r.Conc.threads_spawned, r.Conc.context_switches,
-         m.Machine_conc.transitions, t1 -. t0, t2 -. t1))
+        let row = string_of_int n in
+        count "C'" row "spawned" (float r.Conc.threads_spawned);
+        count "C'" row "switches" (float r.Conc.context_switches);
+        count "C'" row "transitions" (float m.Machine_conc.transitions);
+        record Ns "C'" row "conc ns" (t1 -. t0);
+        record Ns "C'" row "machine ns" (t2 -. t1);
+        (n, r.Conc.context_switches, m.Machine_conc.transitions))
       sizes
   in
-  let ratios =
-    let rec pair = function
-      | (n1, _, s1, _, _, _) :: ((n2, _, s2, _, _, _) :: _ as rest) ->
-          let linear = float_of_int n2 /. float_of_int n1 in
-          let actual = float_of_int s2 /. float_of_int s1 in
-          (n1, n2, actual /. linear) :: pair rest
-      | _ -> []
-    in
-    pair rows
+  show ~first:"threads" "C'";
+  let rec ratios = function
+    | (n1, s1, _) :: ((n2, s2, _) :: _ as rest) ->
+        let r = float s2 /. float s1 /. (float n2 /. float n1) in
+        count ~digits:3 "C' scaling"
+          (Printf.sprintf "%dk -> %dk" (n1 / 1000) (n2 / 1000))
+          "x linear" r;
+        (n1, n2, r) :: ratios rest
+    | _ -> []
   in
+  let ratios = ratios rows in
+  show ~first:"scaling" "C' scaling";
   List.iter
-    (fun (n1, n2, r) ->
-      Fmt.pr "scaling %dk -> %dk: %.3fx linear@." (n1 / 1000) (n2 / 1000) r)
-    ratios;
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"conc_scale\",\"wallclock\":true,\"smoke\":%b,\"rows\":[%s],\"scaling\":[%s]}\n"
-      smoke
-      (String.concat ","
-         (List.map
-            (fun (n, sp, sw, trn, cs, ms) ->
-              Printf.sprintf
-                "{\"threads\":%d,\"spawned\":%d,\"switches\":%d,\"transitions\":%d,\"conc_wall_s\":%.4f,\"machine_wall_s\":%.4f}"
-                n sp sw trn cs ms)
-            rows))
-      (String.concat ","
-         (List.map
-            (fun (n1, n2, r) ->
-              Printf.sprintf
-                "{\"from\":%d,\"to\":%d,\"ratio_vs_linear\":%.4f}" n1 n2 r)
-            ratios))
-  in
-  let oc = open_out "BENCH_C.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "(BENCH_C.json written)@.";
-  List.iter
-    (fun (_, _, sw, trn, _, _) ->
+    (fun (_, sw, trn) ->
       if sw <> trn then begin
         Fmt.epr
           "table_conc_scale: schedule lengths diverged (conc %d, machine \
@@ -768,8 +856,7 @@ let table_conc_scale ~smoke () =
 
 (* The exception-safety combinators must be pay-as-you-go: wrapping a
    loop that never raises in [bracket] or [mask] should cost a constant
-   number of IO transitions, not a per-iteration tax. Deterministic
-   machine-step counts, plus BENCH_B.json for trend tracking. *)
+   number of IO transitions, not a per-iteration tax. *)
 let fault_base = "mapM (\\x -> return (x + 1)) (enumFromTo 1 200)"
 
 let fault_scenarios =
@@ -796,30 +883,14 @@ let table_fault () =
     r.Machine_conc.stats.Stats.steps
   in
   let base_steps = steps_of fault_base in
-  Fmt.pr "%-16s %12s %10s@." "scenario" "steps" "overhead";
-  let rows =
-    List.map
-      (fun (name, src) ->
-        let s = steps_of src in
-        let pct =
-          100.0 *. float_of_int (s - base_steps) /. float_of_int base_steps
-        in
-        Fmt.pr "%-16s %12d %9.2f%%@." name s pct;
-        (name, s, pct))
-      fault_scenarios
-  in
-  let oc = open_out "BENCH_B.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"bracket_mask_overhead\",\"base_steps\":%d,\"scenarios\":[%s]}\n"
-    base_steps
-    (String.concat ","
-       (List.map
-          (fun (n, s, p) ->
-            Printf.sprintf
-              "{\"name\":%S,\"steps\":%d,\"overhead_pct\":%.2f}" n s p)
-          rows));
-  close_out oc;
-  Fmt.pr "@.(BENCH_B.json written)@."
+  List.iter
+    (fun (name, src) ->
+      let s = steps_of src in
+      count "B" name "steps" (float s);
+      count ~digits:2 "B" name "overhead %"
+        (100.0 *. float (s - base_steps) /. float base_steps))
+    fault_scenarios;
+  show ~first:"scenario" "B"
 
 (* ------------------------------------------------------------------ *)
 (* Raw machine workloads, shared by Tables F and T                     *)
@@ -853,16 +924,14 @@ let slot_workloads =
    noise-robust estimator, since runner interference only adds time —
    over 21 trials: with 7, a shared runner's noise pushed the best
    speedup under the bar in about one run in sixteen. The best-workload
-   speedup is asserted >= 1.3x (CI smoke runs this table), and the whole
-   table is emitted as BENCH_F.json. *)
+   speedup is asserted >= 1.3x (CI smoke runs this table). *)
 let table_bytecode () =
   header
     "Table F (flat bytecode): compiled instruction array + \
      superinstructions + inline caches vs the slot machine";
-  Fmt.pr "%-20s %12s %12s %12s %10s %10s %10s %8s@." "workload" "slot steps"
-    "bc dispatch" "ic hit/miss" "ic rate" "slot ns" "bc ns" "speedup";
   let big = { Machine.default_config with fuel = 50_000_000 } in
-  let rows =
+  let trials = 21 in
+  let speedups =
     List.map
       (fun (name, src, raises) ->
         let e = parse src in
@@ -887,7 +956,7 @@ let table_bytecode () =
         if stb.Stats.bc_dispatches <> stb.Stats.steps then
           Fmt.failwith "bytecode dispatch accounting is off on %s" name;
         let t_slot, t_bc =
-          time_pair ~trials:21
+          time_pair ~trials
             (fun () -> ignore (run_slot ()))
             (fun () -> ignore (run_bc ()))
         in
@@ -895,42 +964,22 @@ let table_bytecode () =
           if t_bc.min_ns > 0.0 then t_slot.min_ns /. t_bc.min_ns else 0.0
         in
         let ic_total = stb.Stats.ic_hits + stb.Stats.ic_misses in
-        let ic_rate =
-          if ic_total > 0 then
-            float_of_int stb.Stats.ic_hits /. float_of_int ic_total
-          else 1.0
-        in
-        Fmt.pr "%-20s %12d %12d %12s %9.3f %10.0f %10.0f %7.2fx@." name
-          sts.Stats.steps stb.Stats.bc_dispatches
-          (Printf.sprintf "%d/%d" stb.Stats.ic_hits stb.Stats.ic_misses)
-          ic_rate t_slot.min_ns t_bc.min_ns speedup;
-        (name, sts, stb, ic_rate, t_slot, t_bc, speedup))
+        count "F" name "slot steps" (float sts.Stats.steps);
+        count "F" name "bc dispatch" (float stb.Stats.bc_dispatches);
+        count "F" name "ic hits" (float stb.Stats.ic_hits);
+        count "F" name "ic misses" (float stb.Stats.ic_misses);
+        count ~digits:3 "F" name "ic rate"
+          (if ic_total > 0 then float stb.Stats.ic_hits /. float ic_total
+           else 1.0);
+        ns "F" name "slot ns" t_slot;
+        ns "F" name "bc ns" t_bc;
+        ratio ~trials "F" name "speedup" speedup;
+        speedup)
       slot_workloads
   in
-  let best =
-    List.fold_left (fun a (_, _, _, _, _, _, sp) -> max a sp) 0.0 rows
-  in
-  Fmt.pr "@.best speedup %.2fx@." best;
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"bytecode\",\"wallclock\":true,\"best_speedup\":%.2f,\"rows\":[%s]}\n"
-      best
-      (String.concat ","
-         (List.map
-            (fun (name, (sts : Stats.t), (stb : Stats.t), ic_rate, ts, tb,
-                  sp) ->
-              Printf.sprintf
-                "{\"workload\":%S,\"steps_slot\":%d,\"bc_dispatches\":%d,\"ic_hits\":%d,\"ic_misses\":%d,\"ic_hit_rate\":%.4f,\"ns_slot\":%.1f,\"ns_slot_sd\":%.1f,\"ns_slot_mean\":%.1f,\"ns_bytecode\":%.1f,\"ns_bytecode_sd\":%.1f,\"ns_bytecode_mean\":%.1f,\"trials\":%d,\"speedup\":%.2f}"
-                name sts.Stats.steps stb.Stats.bc_dispatches
-                stb.Stats.ic_hits stb.Stats.ic_misses ic_rate ts.min_ns
-                ts.sd_ns ts.mean_ns tb.min_ns tb.sd_ns tb.mean_ns ts.trials
-                sp)
-            rows))
-  in
-  let oc = open_out "BENCH_F.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "(BENCH_F.json written)@.";
+  let best = List.fold_left max 0.0 speedups in
+  ratio ~trials "F" "best" "speedup" best;
+  show ~first:"workload" "F";
   (* The CI assertion, with slack: the tentpole claims a multi-x
      speedup; the smoke bar is a conservative 1.3x on at least one
      workload so shared-runner noise cannot flake the build. *)
@@ -955,8 +1004,6 @@ let table_bytecode () =
 let table_tracing () =
   header
     "Table T (observability): flight recorder off vs on                      (slot machine, Table F workloads)";
-  Fmt.pr "%-20s %12s %10s %10s %10s %9s@." "workload" "steps" "events on"
-    "off ns" "on ns" "overhead";
   let big = { Machine.default_config with fuel = 50_000_000 } in
   List.iter
     (fun (name, src, raises) ->
@@ -984,15 +1031,15 @@ let table_tracing () =
           (fun () -> ignore (run ~on:false ()))
           (fun () -> ignore (run ~on:true ()))
       in
-      let overhead =
-        if t_off.min_ns > 0.0 then
-          Printf.sprintf "%+.1f%%"
-            (100.0 *. (t_on.min_ns -. t_off.min_ns) /. t_off.min_ns)
-        else "-"
-      in
-      Fmt.pr "%-20s %12d %10d %10.0f %10.0f %9s@." name s_off.Stats.steps
-        (Obs.seen tr_on) t_off.min_ns t_on.min_ns overhead)
+      count "T" name "steps" (float s_off.Stats.steps);
+      count "T" name "events on" (float (Obs.seen tr_on));
+      ns "T" name "off ns" t_off;
+      ns "T" name "on ns" t_on;
+      if t_off.min_ns > 0.0 then
+        ratio ~digits:1 ~trials:t_off.trials "T" name "overhead %"
+          (100.0 *. (t_on.min_ns -. t_off.min_ns) /. t_off.min_ns))
     slot_workloads;
+  show ~first:"workload" "T";
   Fmt.pr "(asserted: tracing off records 0 events and identical steps)@."
 
 (* ------------------------------------------------------------------ *)
@@ -1005,7 +1052,7 @@ let table_tracing () =
    pays a bounded per-delivery cost, reported here as machine steps per
    delivered throwTo. Wall-clock columns are min-of-trials from the
    paired timer ({!time_pair}), plain against faulted, filled in every
-   mode. The table is emitted as machine-readable BENCH_K.json. *)
+   mode. *)
 
 let k_pingpong =
   "newEmptyMVar >>= \\a -> newEmptyMVar >>= \\b ->\n\
@@ -1036,10 +1083,22 @@ let k_selfbase =
 let table_asyncexn () =
   header
     "Table K (Section 5.1): throwTo/killThread — free when unused,          bounded steps per delivery";
-  Fmt.pr "%-18s %12s %12s %10s %10s %12s %10s %10s@." "workload" "steps"
-    "steps armed" "delivered" "recovered" "per-deliver" "plain ns"
-    "faulted ns";
   let run ?(kills = []) src = Machine_conc.run ~kills (parse src) in
+  let steps (r : Machine_conc.result) = r.Machine_conc.stats.Stats.steps in
+  let delivered (r : Machine_conc.result) =
+    r.Machine_conc.counters.Machine_conc.throwtos_delivered
+  in
+  (* One row: the plain run, the run with a kill schedule, and the two
+     timed against each other. *)
+  let report name plain faulted (t_plain, t_faulted) =
+    count "K" name "steps" (float (steps plain));
+    count "K" name "steps armed" (float (steps faulted));
+    count "K" name "delivered" (float (delivered faulted));
+    count "K" name "recovered"
+      (float faulted.Machine_conc.counters.Machine_conc.blocked_recoveries);
+    ns "K" name "plain ns" t_plain;
+    ns "K" name "faulted ns" t_faulted
+  in
   (* Row 1: an unused schedule must not cost a single machine step. The
      armed run carries kill entries aimed at a tid that never spawns. *)
   let plain = run k_pingpong in
@@ -1047,116 +1106,61 @@ let table_asyncexn () =
     run ~kills:[ (5, 99, Exn.Thread_killed); (9, 99, Exn.Interrupt) ]
       k_pingpong
   in
-  if
-    plain.Machine_conc.stats.Stats.steps
-    <> armed.Machine_conc.stats.Stats.steps
-  then
+  if steps plain <> steps armed then
     Fmt.failwith "an unused kill schedule changed the step count: %d vs %d"
-      plain.Machine_conc.stats.Stats.steps
-      armed.Machine_conc.stats.Stats.steps;
-  if armed.Machine_conc.counters.Machine_conc.throwtos_delivered <> 0 then
+      (steps plain) (steps armed);
+  if delivered armed <> 0 then
     Fmt.failwith "an unused kill schedule delivered %d exceptions"
-      armed.Machine_conc.counters.Machine_conc.throwtos_delivered;
-  let t_plain, t_armed =
-    time_pair
-      (fun () -> ignore (run k_pingpong))
-      (fun () ->
-        ignore (run ~kills:[ (5, 99, Exn.Thread_killed) ] k_pingpong))
-  in
-  Fmt.pr "%-18s %12d %12d %10d %10d %12s %10.0f %10.0f@." "pingpong"
-    plain.Machine_conc.stats.Stats.steps armed.Machine_conc.stats.Stats.steps
-    0 0 "-" t_plain.min_ns t_armed.min_ns;
+      (delivered armed);
+  report "pingpong" plain armed
+    (time_pair
+       (fun () -> ignore (run k_pingpong))
+       (fun () ->
+         ignore (run ~kills:[ (5, 99, Exn.Thread_killed) ] k_pingpong)));
   (* Row 2: a supervised worker murdered twice; the supervisor restarts
      it and the third incarnation finishes. *)
-  let wplain = run k_worker in
   let wkill = run ~kills:k_worker_kills k_worker in
-  let delivered = wkill.Machine_conc.counters.Machine_conc.throwtos_delivered in
-  let recovered = wkill.Machine_conc.counters.Machine_conc.blocked_recoveries in
-  if delivered = 0 then
+  if delivered wkill = 0 then
     Fmt.failwith "the worker kill schedule delivered nothing";
-  let t_wplain, t_wkill =
-    time_pair
-      (fun () -> ignore (run k_worker))
-      (fun () -> ignore (run ~kills:k_worker_kills k_worker))
-  in
-  Fmt.pr "%-18s %12d %12d %10d %10d %12s %10.0f %10.0f@." "worker-killed"
-    wplain.Machine_conc.stats.Stats.steps
-    wkill.Machine_conc.stats.Stats.steps delivered recovered "-"
-    t_wplain.min_ns t_wkill.min_ns;
+  report "worker-killed" (run k_worker) wkill
+    (time_pair
+       (fun () -> ignore (run k_worker))
+       (fun () -> ignore (run ~kills:k_worker_kills k_worker)));
   (* Row 3: per-delivery machine steps, from 50 self-throws. *)
   let sthrow = run k_selfthrow in
   let sbase = run k_selfbase in
-  if sthrow.Machine_conc.counters.Machine_conc.throwtos_delivered <> 50 then
-    Fmt.failwith "expected 50 self-deliveries, saw %d"
-      sthrow.Machine_conc.counters.Machine_conc.throwtos_delivered;
-  let per_delivery =
-    float_of_int
-      (sthrow.Machine_conc.stats.Stats.steps
-      - sbase.Machine_conc.stats.Stats.steps)
-    /. 50.0
-  in
-  let t_sbase, t_sthrow =
-    time_pair
-      (fun () -> ignore (run k_selfbase))
-      (fun () -> ignore (run k_selfthrow))
-  in
-  Fmt.pr "%-18s %12d %12d %10d %10d %12.1f %10.0f %10.0f@." "selfthrow-x50"
-    sbase.Machine_conc.stats.Stats.steps
-    sthrow.Machine_conc.stats.Stats.steps 50
-    sthrow.Machine_conc.counters.Machine_conc.blocked_recoveries per_delivery
-    t_sbase.min_ns t_sthrow.min_ns;
+  if delivered sthrow <> 50 then
+    Fmt.failwith "expected 50 self-deliveries, saw %d" (delivered sthrow);
+  report "selfthrow-x50" sbase sthrow
+    (time_pair
+       (fun () -> ignore (run k_selfbase))
+       (fun () -> ignore (run k_selfthrow)));
+  count ~digits:1 "K" "selfthrow-x50" "per-deliver"
+    (float (steps sthrow - steps sbase) /. 50.0);
+  show ~first:"workload" "K";
   Fmt.pr
     "(asserted: an unused schedule leaves steps identical and delivers \
-     nothing)@.";
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"async_exceptions\",\"wallclock\":true,\"rows\":[%s]}\n"
-      (String.concat ","
-         [
-           Printf.sprintf
-             "{\"workload\":\"pingpong\",\"steps_plain\":%d,\"steps_armed\":%d,\"delivered\":0,\"recovered\":0,\"per_delivery_steps\":null,\"ns_plain\":%.1f,\"ns_plain_sd\":%.1f,\"ns_faulted\":%.1f,\"ns_faulted_sd\":%.1f,\"trials\":%d}"
-             plain.Machine_conc.stats.Stats.steps
-             armed.Machine_conc.stats.Stats.steps t_plain.min_ns
-             t_plain.sd_ns t_armed.min_ns t_armed.sd_ns t_plain.trials;
-           Printf.sprintf
-             "{\"workload\":\"worker-killed\",\"steps_plain\":%d,\"steps_armed\":%d,\"delivered\":%d,\"recovered\":%d,\"per_delivery_steps\":null,\"ns_plain\":%.1f,\"ns_plain_sd\":%.1f,\"ns_faulted\":%.1f,\"ns_faulted_sd\":%.1f,\"trials\":%d}"
-             wplain.Machine_conc.stats.Stats.steps
-             wkill.Machine_conc.stats.Stats.steps delivered recovered
-             t_wplain.min_ns t_wplain.sd_ns t_wkill.min_ns t_wkill.sd_ns
-             t_wplain.trials;
-           Printf.sprintf
-             "{\"workload\":\"selfthrow-x50\",\"steps_plain\":%d,\"steps_armed\":%d,\"delivered\":50,\"recovered\":%d,\"per_delivery_steps\":%.1f,\"ns_plain\":%.1f,\"ns_plain_sd\":%.1f,\"ns_faulted\":%.1f,\"ns_faulted_sd\":%.1f,\"trials\":%d}"
-             sbase.Machine_conc.stats.Stats.steps
-             sthrow.Machine_conc.stats.Stats.steps
-             sthrow.Machine_conc.counters.Machine_conc.blocked_recoveries per_delivery
-             t_sbase.min_ns t_sbase.sd_ns t_sthrow.min_ns t_sthrow.sd_ns
-             t_sbase.trials;
-         ])
-  in
-  let oc = open_out "BENCH_K.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "(BENCH_K.json written)@."
+     nothing)@."
 
 (* ---- Table S: evaluation-as-a-service under load ------------------ *)
 
 (* Replays the pure programs of the fuzz corpus through one serve
-   engine — every program twice, so the second round
-   exercises the compiled-program cache — measuring per-request
-   wall-clock latency and overall throughput. A second, fault-mode
-   round mixes the five canonical killers (heap bomb, stack bomb, fuel
-   burner, black hole, spinner-with-timeout) with well-behaved
-   requests and asserts the latter still succeed: degradation is
-   per-request, never service-wide. Two front-end rows follow, each on
-   the largest pure corpus program and each gated at 1/20: what
-   resolving it costs in a fresh context and in a context that already
-   holds the resolved Prelude, and the code words its bytecode compile
-   emits in full and against the held Prelude segment. Last, what a
-   cache-hit request costs the major heap on each backend, gated at no
-   word allocated there directly and at most 128 promoted, with its
-   minor words beside them; and the machine cells a cache hit for [1]
-   allocates, gated at 1, its root (the Prelude's cells come from the
-   engine's image). Emitted as BENCH_S.json. *)
+   engine per backend — every program twice, so the second round
+   exercises the compiled-program cache — and counts what the engine
+   did. A second, fault-mode round mixes the five canonical killers
+   (heap bomb, stack bomb, fuel burner, black hole,
+   spinner-with-timeout) with well-behaved requests and asserts the
+   latter still succeed: degradation is per-request, never
+   service-wide. Request latency and throughput are bench/e2e's to
+   measure. Two front-end rows follow, each on the largest pure corpus
+   program and each gated at 1/20: what resolving it costs in a fresh
+   context and in a context that already holds the resolved Prelude,
+   and the code words its bytecode compile emits in full and against
+   the held Prelude segment. Last, what a cache-hit request costs the
+   major heap on each backend, gated at no word allocated there
+   directly and at most 128 promoted, with its minor words beside them;
+   and the machine cells a cache hit for [1] allocates, gated at 1, its
+   root (the Prelude's cells come from the engine's image). *)
 let table_serve () =
   header
     "Table S: serve daemon under corpus replay + fault mix, both backends";
@@ -1168,52 +1172,6 @@ let table_serve () =
     List.iter (Serve.feed sess) (String.split_on_char '\n' src);
     Serve.feed sess "."
   in
-  (* One full load-generator round — corpus replay (twice, so the
-     compiled-program cache must hit) plus the fault mix — against one
-     engine running the given backend. The serve differential test
-     already proves the two backends answer alike; here we measure what
-     that agreement costs on each. *)
-  let serve_round backend =
-  let engine =
-    Serve.create ~config:{ Serve.default_config with Serve.backend } ()
-  in
-  let sess = Serve.session engine in
-  let submit = submit sess in
-  (* Round-trip load generator: submit, run to completion, drain; the
-     latency of one request is the full submit-to-reply wall time. *)
-  let latencies = ref [] in
-  let t_start = Monotonic_clock.now () in
-  List.iter
-    (fun round ->
-      List.iteri
-        (fun i e ->
-          let src = Pretty.expr_to_string e.Corpus.expr in
-          let t0 = Monotonic_clock.now () in
-          submit (Printf.sprintf "%s%d" round i) "" src;
-          Serve.run_all engine;
-          ignore (Serve.drain sess);
-          let t1 = Monotonic_clock.now () in
-          latencies := Int64.to_float (Int64.sub t1 t0) :: !latencies)
-        pure)
-    [ "a"; "b" ];
-  let total_ns =
-    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t_start)
-  in
-  let n_requests = 2 * List.length pure in
-  let rps =
-    if total_ns > 0.0 then float_of_int n_requests /. (total_ns /. 1e9)
-    else 0.0
-  in
-  let sorted = Array.of_list !latencies in
-  Array.sort compare sorted;
-  let pct p =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else
-      let k = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      sorted.(max 0 (min (n - 1) k))
-  in
-  let p50 = pct 50.0 and p99 = pct 99.0 in
   (* Fault mode: the killers interleaved with survivors; every
      survivor must still answer [ok]. *)
   let killers =
@@ -1226,64 +1184,59 @@ let table_serve () =
         "let rec go n = if n > 0 then go n else 0 in go 1" );
     ]
   in
-  let fault_ok = ref true in
-  List.iteri
-    (fun i (opts, src) ->
-      submit (Printf.sprintf "kill%d" i) opts src;
-      submit (Printf.sprintf "good%d" i) "" "sum (enumFromTo 1 100)";
-      Serve.run_all engine;
-      List.iter
-        (fun reply ->
-          match String.split_on_char ' ' reply with
-          | "err" :: id :: _ when String.length id >= 4
-                                  && String.sub id 0 4 = "good" ->
-              fault_ok := false;
-              Fmt.epr "table_serve FAULT-MODE FAIL: %s@." reply
-          | _ -> ())
-        (Serve.drain sess))
-    killers;
-  let c = Serve.counters engine in
-  let hits = c.Serve.cache_hits and misses = c.Serve.cache_misses in
-  let hit_rate =
-    if hits + misses > 0 then
-      float_of_int hits /. float_of_int (hits + misses)
-    else 0.0
+  (* One full load-generator round — corpus replay plus the fault mix —
+     against one engine running the given backend. The serve
+     differential test already proves the two backends answer alike. *)
+  let serve_round (bname, backend) =
+    let engine =
+      Serve.create ~config:{ Serve.default_config with Serve.backend } ()
+    in
+    let sess = Serve.session engine in
+    let submit = submit sess in
+    List.iter
+      (fun round ->
+        List.iteri
+          (fun i e ->
+            submit (Printf.sprintf "%s%d" round i) ""
+              (Pretty.expr_to_string e.Corpus.expr);
+            Serve.run_all engine;
+            ignore (Serve.drain sess))
+          pure)
+      [ "a"; "b" ];
+    let fault_ok = ref true in
+    List.iteri
+      (fun i (opts, src) ->
+        submit (Printf.sprintf "kill%d" i) opts src;
+        submit (Printf.sprintf "good%d" i) "" "sum (enumFromTo 1 100)";
+        Serve.run_all engine;
+        List.iter
+          (fun reply ->
+            match String.split_on_char ' ' reply with
+            | "err" :: id :: _ when String.length id >= 4
+                                    && String.sub id 0 4 = "good" ->
+                fault_ok := false;
+                Fmt.epr "table_serve FAULT-MODE FAIL: %s@." reply
+            | _ -> ())
+          (Serve.drain sess))
+      killers;
+    let c = Serve.counters engine in
+    let hits = c.Serve.cache_hits and misses = c.Serve.cache_misses in
+    count "S replay" "requests (replay)" bname (float (2 * List.length pure));
+    count ~digits:2 "S replay" "cache hit rate" bname
+      (if hits + misses > 0 then float hits /. float (hits + misses) else 0.0);
+    count "S replay" "quota kills" bname
+      (float (c.Serve.quota_heap + c.Serve.quota_stack + c.Serve.quota_fuel));
+    text "S replay" "fault-mode survivors" bname
+      (if !fault_ok then "all ok" else "FAILED");
+    if c.Serve.crashes > 0 then
+      Fmt.epr "table_serve: unexpected crashes: %d@." c.Serve.crashes;
+    !fault_ok
   in
-  if c.Serve.crashes > 0 then
-    Fmt.epr "table_serve: unexpected crashes: %d@." c.Serve.crashes;
-  (n_requests, rps, p50, p99, hit_rate, c, !fault_ok)
+  let fault_ok =
+    List.for_all Fun.id
+      (List.map serve_round [ ("slot", Serve.Slot); ("bytecode", Serve.Bytecode) ])
   in
-  let rounds =
-    [
-      ("slot", serve_round Serve.Slot);
-      ("bytecode", serve_round Serve.Bytecode);
-    ]
-  in
-  Fmt.pr "%-26s %12s %12s@." "metric" "slot" "bytecode";
-  let col f = List.map (fun (_, r) -> f r) rounds in
-  (match
-     ( col (fun (n, _, _, _, _, _, _) -> float_of_int n),
-       col (fun (_, rps, _, _, _, _, _) -> rps),
-       col (fun (_, _, p50, _, _, _, _) -> p50),
-       col (fun (_, _, _, p99, _, _, _) -> p99),
-       col (fun (_, _, _, _, hr, _, _) -> hr) )
-   with
-  | [ n1; n2 ], [ r1; r2 ], [ f1; f2 ], [ n991; n992 ], [ h1; h2 ] ->
-      Fmt.pr "%-26s %12.0f %12.0f@." "requests (replay)" n1 n2;
-      Fmt.pr "%-26s %12.1f %12.1f@." "requests/sec" r1 r2;
-      Fmt.pr "%-26s %12.0f %12.0f@." "p50 latency (ns)" f1 f2;
-      Fmt.pr "%-26s %12.0f %12.0f@." "p99 latency (ns)" n991 n992;
-      Fmt.pr "%-26s %12.2f %12.2f@." "cache hit rate" h1 h2
-  | _ -> ());
-  List.iter
-    (fun (bname, (_, _, _, _, _, (c : Serve.counters), fault_ok)) ->
-      Fmt.pr "%-26s %12d (%s)@." "quota kills"
-        (c.Serve.quota_heap + c.Serve.quota_stack + c.Serve.quota_fuel)
-        bname;
-      Fmt.pr "%-26s %12s (%s)@." "fault-mode survivors"
-        (if fault_ok then "all ok" else "FAILED")
-        bname)
-    rounds;
+  show "S replay";
   (* Resolve's fixed cost: a fresh context resolves all of the Prelude's
      bindings, a context that already holds them only the body. The
      probe is the largest pure corpus program, the least favourable
@@ -1309,13 +1262,15 @@ let table_serve () =
   in
   let fresh_words = words fresh and memo_words = words memo in
   let t_fresh, t_memo = time_pair fresh memo in
-  let ratio = t_fresh.min_ns /. t_memo.min_ns in
+  let r = "resolve time (min ns)" in
+  count "S resolve" "resolve minor words" "fresh ctx" fresh_words;
+  count "S resolve" "resolve minor words" "Prelude held" memo_words;
+  ns "S resolve" r "fresh ctx" t_fresh;
+  ns "S resolve" r "Prelude held" t_memo;
+  ratio ~digits:0 ~trials:t_fresh.trials "S resolve" r "fresh/held"
+    (t_fresh.min_ns /. t_memo.min_ns);
   Fmt.pr "@.resolve %s (wrapped):@." probe.Corpus.name;
-  Fmt.pr "%-26s %12s %12s@." "metric" "fresh ctx" "Prelude held";
-  Fmt.pr "%-26s %12.0f %12.0f@." "resolve minor words" fresh_words
-    memo_words;
-  Fmt.pr "%-26s %12.0f %12.0f  (fresh/held %.0fx)@." "resolve time (min ns)"
-    t_fresh.min_ns t_memo.min_ns ratio;
+  show "S resolve";
   (* Bytecode compile's fixed cost: a full compile emits every Prelude
      binding again, a compile against the held segment only the body.
      The words are the code words one miss emits, a deterministic count;
@@ -1329,12 +1284,15 @@ let table_serve () =
   let t_full, t_held =
     time_pair (fun () -> ignore (full ())) (fun () -> ignore (appended ()))
   in
-  let compile_ratio = t_full.min_ns /. t_held.min_ns in
+  let c = "compile time (min ns)" in
+  count "S compile" "code words emitted" "fresh" (float full_code);
+  count "S compile" "code words emitted" "Prelude held" (float held_code);
+  ns "S compile" c "fresh" t_full;
+  ns "S compile" c "Prelude held" t_held;
+  ratio ~digits:0 ~trials:t_full.trials "S compile" c "fresh/held"
+    (t_full.min_ns /. t_held.min_ns);
   Fmt.pr "@.bytecode compile %s (wrapped):@." probe.Corpus.name;
-  Fmt.pr "%-26s %12s %12s@." "metric" "fresh" "Prelude held";
-  Fmt.pr "%-26s %12d %12d@." "code words emitted" full_code held_code;
-  Fmt.pr "%-26s %12.0f %12.0f  (fresh/held %.0fx)@." "compile time (min ns)"
-    t_full.min_ns t_held.min_ns compile_ratio;
+  show "S compile";
   (* What a cache-hit request leaves to the major heap: one engine per
      backend with every pure program cached, then [major_requests]
      requests round-robin from an empty minor heap. Words allocated
@@ -1354,7 +1312,7 @@ let table_serve () =
      an exact count; 126 when every request built the group). The
      minor words are the loop's, from [Gc.minor_words]. *)
   let cells_bound = 1 in
-  let major_heap backend =
+  let major_heap (bname, backend) =
     let engine =
       Serve.create ~config:{ Serve.default_config with Serve.backend } ()
     in
@@ -1374,71 +1332,30 @@ let table_serve () =
     done;
     let minor1 = Gc.minor_words () in
     let _, promoted1, major1 = Gc.counters () in
-    let per x = x /. float_of_int major_requests in
+    let per x = x /. float major_requests in
     let promoted = promoted1 -. promoted0 in
     request "1";
     let allocations () = (Serve.machine_totals engine).Stats.allocations in
     let a0 = allocations () in
     request "1";
-    ( per (major1 -. major0 -. promoted),
-      per promoted,
-      per (minor1 -. minor0),
-      allocations () - a0 )
+    let direct = per (major1 -. major0 -. promoted)
+    and promoted = per promoted
+    and cells = allocations () - a0 in
+    count ~digits:1 "S major heap" "direct major words" bname direct;
+    count ~digits:1 "S major heap" "promoted words" bname promoted;
+    count ~digits:1 "S major heap" "minor words" bname (per (minor1 -. minor0));
+    count "S Prelude cells" "machine allocations" bname (float cells);
+    (bname, direct, promoted, cells)
   in
   let majors =
-    [ ("slot", major_heap Serve.Slot); ("bytecode", major_heap Serve.Bytecode) ]
+    List.map major_heap [ ("slot", Serve.Slot); ("bytecode", Serve.Bytecode) ]
   in
   Fmt.pr "@.major heap per cache-hit request (%d requests, %d programs):@."
     major_requests (List.length pure);
-  Fmt.pr "%-26s %12s %12s@." "metric" "slot" "bytecode";
-  (match majors with
-  | [ (_, (d1, p1, m1, c1)); (_, (d2, p2, m2, c2)) ] ->
-      Fmt.pr "%-26s %12.1f %12.1f@." "direct major words" d1 d2;
-      Fmt.pr "%-26s %12.1f %12.1f@." "promoted words" p1 p2;
-      Fmt.pr "%-26s %12.1f %12.1f@." "minor words" m1 m2;
-      Fmt.pr "@.Prelude cells per cache-hit request for 1:@.";
-      Fmt.pr "%-26s %12s %12s@." "metric" "slot" "bytecode";
-      Fmt.pr "%-26s %12d %12d@." "machine allocations" c1 c2
-  | _ -> ());
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"serve\",\"wallclock\":true,\"resolve\":{\"program\":%S,\"fresh_minor_words\":%.0f,\"memo_minor_words\":%.0f,\"fresh_min_ns\":%.0f,\"memo_min_ns\":%.0f,\"fresh_over_memo\":%.1f,\"trials\":%d},\"compile\":{\"program\":%S,\"fresh_code_words\":%d,\"held_code_words\":%d,\"fresh_min_ns\":%.0f,\"held_min_ns\":%.0f,\"fresh_over_held\":%.1f,\"trials\":%d},\"major_heap\":{\"requests\":%d,\"programs\":%d,\"promoted_bound\":%.0f,\"backends\":[%s]},\"prelude_cells\":{\"program\":\"1\",\"bound\":%d,\"backends\":[%s]},\"backends\":[%s]}\n"
-      probe.Corpus.name fresh_words memo_words t_fresh.min_ns t_memo.min_ns
-      ratio t_fresh.trials probe.Corpus.name full_code held_code
-      t_full.min_ns t_held.min_ns compile_ratio t_full.trials major_requests
-      (List.length pure) promoted_bound
-      (String.concat ","
-         (List.map
-            (fun (bname, (direct, promoted, minor, _)) ->
-              Printf.sprintf
-                "{\"backend\":%S,\"direct_major_words_per_request\":%.1f,\"promoted_words_per_request\":%.1f,\"minor_words_per_request\":%.1f}"
-                bname direct promoted minor)
-            majors))
-      cells_bound
-      (String.concat ","
-         (List.map
-            (fun (bname, (_, _, _, cells)) ->
-              Printf.sprintf "{\"backend\":%S,\"allocations\":%d}" bname
-                cells)
-            majors))
-      (String.concat ","
-         (List.map
-            (fun ( bname,
-                   (n, rps, p50, p99, hit_rate, (c : Serve.counters),
-                    fault_ok) ) ->
-              Printf.sprintf
-                "{\"backend\":%S,\"requests\":%d,\"requests_per_sec\":%.1f,\"p50_latency_ns\":%.0f,\"p99_latency_ns\":%.0f,\"cache_hit_rate\":%.3f,\"cache_hits\":%d,\"cache_misses\":%d,\"quota_heap\":%d,\"quota_stack\":%d,\"quota_fuel\":%d,\"timeouts\":%d,\"crashes\":%d,\"fault_mode_ok\":%b}"
-                bname n rps p50 p99 hit_rate c.Serve.cache_hits
-                c.Serve.cache_misses c.Serve.quota_heap c.Serve.quota_stack
-                c.Serve.quota_fuel c.Serve.timeouts c.Serve.crashes fault_ok)
-            rounds))
-  in
-  let oc = open_out "BENCH_S.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "(BENCH_S.json written)@.";
-  if List.exists (fun (_, (_, _, _, _, _, _, ok)) -> not ok) rounds then
-    exit 1;
+  show "S major heap";
+  Fmt.pr "@.Prelude cells per cache-hit request for 1:@.";
+  show "S Prelude cells";
+  if not fault_ok then exit 1;
   if memo_words *. 20. > fresh_words then begin
     Fmt.epr
       "table_serve: resolving with the Prelude held allocated %.0f words, \
@@ -1454,7 +1371,7 @@ let table_serve () =
     exit 1
   end;
   List.iter
-    (fun (bname, (direct, promoted, _, cells)) ->
+    (fun (bname, direct, promoted, cells) ->
       if direct > 0. || promoted > promoted_bound then begin
         Fmt.epr
           "table_serve: a cache-hit request on %s allocated %.1f words \
@@ -1494,4 +1411,7 @@ let () =
   table_tracing ();
   table_asyncexn ();
   table_serve ();
+  write_rows "BENCH.json" (List.rev !recorded);
+  Fmt.pr "@.(BENCH.json written)@.";
+  gate ~smoke;
   Fmt.pr "@.done.@."

@@ -36,16 +36,6 @@ let literal_exn = function
       Exn.of_constructor_p name (Some (Exn.P_int n))
   | _ -> None
 
-let rec spine acc = function
-  | App (f, a) -> spine (a :: acc) f
-  | head -> (head, acc)
-
-let rec uncurry = function
-  | Lam (x, b) ->
-      let xs, inner = uncurry b in
-      (x :: xs, inner)
-  | e -> ([], e)
-
 (* Effect of demanding [e] to WHNF under [env]. *)
 let rec effect (env : binding Env.t) (e : expr) : t =
   match e with
@@ -57,7 +47,7 @@ let rec effect (env : binding Env.t) (e : expr) : t =
       | Some (B_fun _) -> none (* the function value itself is WHNF *)
       | None -> top)
   | App _ -> (
-      let head, args = spine [] e in
+      let head, args = spine e in
       (* Arguments may all be demanded by a strict callee; charge them. *)
       let args_eff =
         List.fold_left (fun acc a -> join acc (effect env a)) none args

@@ -2,14 +2,6 @@ open Lang.Syntax
 
 type occurrence = Dead | Once | Once_under_lambda | Many
 
-let pp_occurrence ppf o =
-  Fmt.string ppf
-    (match o with
-    | Dead -> "dead"
-    | Once -> "once"
-    | Once_under_lambda -> "once-under-lambda"
-    | Many -> "many")
-
 (* Count uses of [x], tracking whether we are under a lambda. Shadowing
    stops the count. *)
 let analyze (x : string) (e : expr) : int * bool =
@@ -46,8 +38,6 @@ let analyze (x : string) (e : expr) : int * bool =
   in
   go false e;
   (!total, !under)
-
-let count_uses x e = fst (analyze x e)
 
 let of_binding x e =
   match analyze x e with

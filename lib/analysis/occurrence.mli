@@ -13,13 +13,8 @@ type occurrence =
           call. *)
   | Many  (** Several uses: inlining duplicates the redex. *)
 
-val pp_occurrence : occurrence Fmt.t
-
 val of_binding : string -> Lang.Syntax.expr -> occurrence
 (** How [x] occurs in the scope expression. *)
-
-val count_uses : string -> Lang.Syntax.expr -> int
-(** Raw occurrence count (shadowing-aware). *)
 
 val reachable_bindings :
   (string * Lang.Syntax.expr) list -> Lang.Syntax.expr ->

@@ -9,22 +9,6 @@ let empty_sigs = Sig_map.empty
 let find_sig sigs f = Sig_map.find_opt f sigs
 let sigs_to_list sigs = Sig_map.bindings sigs
 
-let pp_signature ppf s =
-  Fmt.pf ppf "%s"
-    (String.concat "" (List.map (fun b -> if b then "S" else "L") s))
-
-(* Split a function body into curried parameters and inner body. *)
-let rec uncurry = function
-  | Lam (x, body) ->
-      let xs, inner = uncurry body in
-      (x :: xs, inner)
-  | e -> ([], e)
-
-(* Application spine. *)
-let rec spine acc = function
-  | App (f, a) -> spine (a :: acc) f
-  | head -> (head, acc)
-
 (* Variables certainly demanded when [e] is demanded to WHNF, given
    function signatures. *)
 let rec demanded_in (sigs : sigs) (e : expr) : String_set.t =
@@ -32,7 +16,7 @@ let rec demanded_in (sigs : sigs) (e : expr) : String_set.t =
   | Var x -> String_set.singleton x
   | Lit _ | Lam _ | Con _ -> String_set.empty
   | App _ -> (
-      let head, args = spine [] e in
+      let head, args = spine e in
       match head with
       | Var f -> (
           let base = String_set.singleton f in
@@ -150,7 +134,7 @@ let analyze (e : expr) : sigs =
 let demanded = demanded_in
 
 let strict_args_of_app sigs e =
-  let head, args = spine [] e in
+  let head, args = spine e in
   match head with
   | Var f -> (
       match Sig_map.find_opt f sigs with

@@ -45,5 +45,3 @@ val strict_args_of_app : sigs -> Lang.Syntax.expr -> bool list
 (** For an application spine [f a1 ... an] with [f] a known function,
     which argument positions are demanded. Empty if the head is
     unknown. *)
-
-val pp_signature : signature Fmt.t

@@ -251,18 +251,20 @@ let pure entries =
       | M_io | M_conc -> false)
     entries
 
-let find_dir () =
+let find_upward rel =
   let exe =
     if Filename.is_relative Sys.executable_name then
       Filename.concat (Sys.getcwd ()) Sys.executable_name
     else Sys.executable_name
   in
   let rec up tried dir =
-    let p = Filename.concat dir "fuzz/corpus" in
-    if Sys.file_exists p && Sys.is_directory p then Ok p
+    let p = Filename.concat dir rel in
+    if Sys.file_exists p then Ok p
     else
       let parent = Filename.dirname dir in
       if parent = dir then Error (List.rev (p :: tried))
       else up (p :: tried) parent
   in
   up [] (Filename.dirname exe)
+
+let find_dir () = find_upward "fuzz/corpus"

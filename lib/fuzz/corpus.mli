@@ -47,8 +47,11 @@ val load_dir : string -> entry list * (string * string) list
 val pure : entry list -> entry list
 (** The entries for the pure harness: modes [int], [list] and [any]. *)
 
-val find_dir : unit -> (string, string list) result
-(** The committed corpus: [fuzz/corpus] in the running executable's
-    directory or its nearest ancestor that has one, so a binary built
-    under the repository's [_build] finds it wherever it is started.
+val find_upward : string -> (string, string list) result
+(** [find_upward rel]: [rel] in the running executable's directory or
+    its nearest ancestor that has one, so a binary built under the
+    repository's [_build] finds a committed file wherever it is started.
     [Error tried] lists every path looked at. *)
+
+val find_dir : unit -> (string, string list) result
+(** The committed corpus: [find_upward "fuzz/corpus"]. *)

@@ -59,11 +59,6 @@ let stg_config v =
     blackhole_nontermination = true;
   }
 
-let rec contains_bottom = function
-  | V.DBad s -> Exn_set.is_all s
-  | V.DCon (_, ds) -> List.exists contains_bottom ds
-  | V.DInt _ | V.DChar _ | V.DString _ | V.DFun | V.DCut -> false
-
 let rec bad_sets acc = function
   | V.DBad s -> s :: acc
   | V.DCon (_, ds) -> List.fold_left bad_sets acc ds
@@ -74,7 +69,7 @@ let rec bad_sets acc = function
    implements a structured denotation whenever [e] is a member of some
    exception set occurring anywhere inside it. *)
 let raised_implements e d =
-  contains_bottom d || List.exists (Exn_set.mem e) (bad_sets [] d)
+  V.contains_bottom d || List.exists (Exn_set.mem e) (bad_sets [] d)
 
 let exn_of_deep = function
   | V.DCon (name, []) -> Lang.Exn.of_constructor name None
@@ -240,7 +235,7 @@ let check_pure ?cov ~held v t =
     let d_bc = Bytecode.deep ~depth:v.depth mb b in
     List.iter2
       (fun (name, d, st) (d_full, st_full) ->
-        if not (contains_bottom d_full) then begin
+        if not (V.contains_bottom d_full) then begin
           if not (V.deep_equal d d_full) then
             flag (name ^ "-image-vs-full")
               (Printf.sprintf "image start %s <> full start %s" (pd d)
@@ -296,8 +291,8 @@ let check_pure ?cov ~held v t =
       flag "bytecode-implements-denot"
         (Printf.sprintf "bytecode %s !⊑ denot %s" (pd d_bc) (pd dl));
     if
-      (not (contains_bottom d_stg))
-      && (not (contains_bottom d_bc))
+      (not (V.contains_bottom d_stg))
+      && (not (V.contains_bottom d_bc))
       && not (V.deep_equal d_stg d_bc)
     then
       flag "stg-vs-bytecode"
@@ -305,8 +300,8 @@ let check_pure ?cov ~held v t =
     (let fd_l = Fixed.outcome_to_deep fo_l in
      if
        (not (uses_get_exception t))
-       && (not (contains_bottom d_stg))
-       && (not (contains_bottom fd_l))
+       && (not (V.contains_bottom d_stg))
+       && (not (V.contains_bottom fd_l))
        && (not (has_nested_bad false d_stg))
        && (not (has_nested_bad false fd_l))
        && not (V.deep_equal d_stg fd_l)
@@ -360,7 +355,7 @@ let bracket_balance flag check ~entered ~released terminated =
 let same_class o1 o2 =
   match (o1, o2) with
   | Conc.Done d1, Conc.Done d2 ->
-      contains_bottom d1 || contains_bottom d2 || agree_modulo_exn d1 d2
+      V.contains_bottom d1 || V.contains_bottom d2 || agree_modulo_exn d1 d2
   | Conc.Uncaught _, Conc.Uncaught _
   | Conc.Deadlock, Conc.Deadlock
   | Conc.Diverged, Conc.Diverged

@@ -39,14 +39,9 @@ let pp_violation ppf v =
    side is below its true denotation, so equality obligations do not
    apply — only the refinement direction remains checkable, and we skip
    rather than risk flagging a fuel artefact. *)
-let rec contains_bottom = function
-  | V.DBad s -> Exn_set.is_all s
-  | V.DCon (_, ds) -> List.exists contains_bottom ds
-  | V.DInt _ | V.DChar _ | V.DString _ | V.DFun | V.DCut -> false
-
 let outcome_bottom = function
   | Fixed.Diverged -> true
-  | Fixed.Value d -> contains_bottom d
+  | Fixed.Value d -> V.contains_bottom d
   | Fixed.Raised _ -> false
 
 let check_pure ?(config = Denot.default_config) ?(depth = 24) (st : state) t =
@@ -68,7 +63,7 @@ let check_pure ?(config = Denot.default_config) ?(depth = 24) (st : state) t =
       | Some t' ->
           let w' = wrap t' in
           let dr = run w' in
-          let bottomed = contains_bottom dl || contains_bottom dr in
+          let bottomed = V.contains_bottom dl || V.contains_bottom dr in
           let v = Refine.compare_deep dl dr in
           let name_imp = r.Rules.name ^ "@imprecise" in
           let ta = tally st name_imp in
@@ -134,7 +129,7 @@ let check_pure ?(config = Denot.default_config) ?(depth = 24) (st : state) t =
        let ta = tally st "seq-insert" in
        ta.applied <- ta.applied + 1;
        let dr = run (wrap t') in
-       if not (contains_bottom dl || contains_bottom dr) then
+       if not (V.contains_bottom dl || V.contains_bottom dr) then
          let v = Refine.compare_deep dl dr in
          if
            not

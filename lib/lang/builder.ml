@@ -9,7 +9,6 @@ let lams xs e = List.fold_right (fun x acc -> Lam (x, acc)) xs e
 let app f a = App (f, a)
 let apps f args = List.fold_left (fun acc a -> App (acc, a)) f args
 let con c es = Con (c, es)
-let let_ x e1 e2 = Let (x, e1, e2)
 let letrec binds body = Letrec (binds, body)
 let fix e = Fix e
 
@@ -39,14 +38,9 @@ let just e = Con (c_just, [ e ])
 let nothing = Con (c_nothing, [])
 
 let pcon c xs = Pcon (c, xs)
-let pint n = Plit (Lit_int n)
-let pany = Pany None
-let pvar x = Pany (Some x)
 let case e alts = Case (e, List.map (fun (pat, rhs) -> { pat; rhs }) alts)
 
 let if_ c t f = case c [ (pcon c_true [], t); (pcon c_false [], f) ]
-
-let raise_ e = Raise e
 
 let exn_con (e : Exn.t) =
   let name = Exn.constructor_name e in
@@ -61,14 +55,11 @@ let error s = raise_exn (Exn.User_error s)
 let io_return e = Con (c_return, [ e ])
 let io_bind m k = Con (c_bind, [ m; k ])
 let get_char = Con (c_get_char, [])
-let put_char e = Con (c_put_char, [ e ])
 let get_exception e = Con (c_get_exception, [ e ])
 let io_bracket acq rel use = Con (c_bracket, [ acq; rel; use ])
 let io_on_exception m h = Con (c_on_exception, [ m; h ])
 let io_mask m = Con (c_mask, [ m ])
-let io_unmask m = Con (c_unmask, [ m ])
 let io_timeout k m = Con (c_timeout, [ k; m ])
-let io_retry n b m = Con (c_retry, [ n; b; m ])
 
 let loop = Fix (lam "x" (var "x"))
 let loop_plus_error = loop + error "Urk"

@@ -15,7 +15,6 @@ val lams : string list -> expr -> expr
 val app : expr -> expr -> expr
 val apps : expr -> expr list -> expr
 val con : string -> expr list -> expr
-val let_ : string -> expr -> expr -> expr
 val letrec : (string * expr) list -> expr -> expr
 val fix : expr -> expr
 
@@ -49,11 +48,7 @@ val if_ : expr -> expr -> expr -> expr
 
 val case : expr -> (pat * expr) list -> expr
 val pcon : string -> string list -> pat
-val pint : int -> pat
-val pany : pat
-val pvar : string -> pat
 
-val raise_ : expr -> expr
 val raise_exn : Exn.t -> expr
 (** [raise] applied to a literal exception constructor. *)
 
@@ -66,7 +61,6 @@ val error : string -> expr
 val io_return : expr -> expr
 val io_bind : expr -> expr -> expr
 val get_char : expr
-val put_char : expr -> expr
 val get_exception : expr -> expr
 
 val io_bracket : expr -> expr -> expr -> expr
@@ -76,12 +70,7 @@ val io_bracket : expr -> expr -> expr -> expr
 
 val io_on_exception : expr -> expr -> expr
 val io_mask : expr -> expr
-val io_unmask : expr -> expr
 val io_timeout : expr -> expr -> expr
-val io_retry : expr -> expr -> expr -> expr
-(** [io_retry attempts backoff m]: re-perform [m] up to [attempts] more
-    times when it fails, doubling the deterministic tick-counted [backoff]
-    between attempts. *)
 
 (* The paper's running examples. *)
 

@@ -58,20 +58,12 @@ let rec pp_level lvl ppf e =
             Fmt.(list ~sep:sp (pp_level 11))
             args)
   | Lam _ ->
-      let rec collect acc = function
-        | Lam (x, body) -> collect (x :: acc) body
-        | body -> (List.rev acc, body)
-      in
-      let xs, body = collect [] e in
+      let xs, body = uncurry e in
       parens_if (lvl > 0) (fun ppf _ ->
           Fmt.pf ppf "@[<hv 2>\\%s ->@ %a@]" (String.concat " " xs)
             (pp_level 0) body)
   | App _ ->
-      let rec collect acc = function
-        | App (f, a) -> collect (a :: acc) f
-        | head -> (head, acc)
-      in
-      let head, args = collect [] e in
+      let head, args = spine e in
       (* A nullary-constructor head must be parenthesised: [Nil x] would
          re-parse as an over-applied constructor, not an application of
          the constructor value. *)
@@ -189,4 +181,3 @@ let pp_program ppf ({ defs; datas; exns; main = _ } : program) =
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:(any "@,@,") pp_def) defs
 
 let expr_to_string e = Fmt.str "%a" pp_expr e
-let program_to_string p = Fmt.str "%a" pp_program p

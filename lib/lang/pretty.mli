@@ -12,4 +12,3 @@ val pp_data : Syntax.data_decl Fmt.t
 val pp_program : Syntax.program Fmt.t
 
 val expr_to_string : Syntax.expr -> string
-val program_to_string : Syntax.program -> string

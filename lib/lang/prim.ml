@@ -68,12 +68,6 @@ let all =
 
 let of_name s = List.find_opt (fun p -> String.equal (name p) s) all
 
-let is_arith = function
-  | Add | Sub | Mul | Div | Mod | Neg -> true
-  | Eq | Ne | Lt | Le | Gt | Ge | Seq | Map_exception | Unsafe_is_exception
-  | Unsafe_get_exception | Chr | Ord ->
-      false
-
 let pp ppf p = Fmt.string ppf (name p)
 let equal a b = a = b
 let compare = Stdlib.compare

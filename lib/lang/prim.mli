@@ -47,9 +47,6 @@ val name : t -> string
 
 val of_name : string -> t option
 val all : t list
-val is_arith : t -> bool
-(** True for the primitives whose result is obtained from integer
-    arithmetic, i.e. those that can raise [Overflow] or [DivideByZero]. *)
 
 val pp : t Fmt.t
 val equal : t -> t -> bool

@@ -137,10 +137,8 @@ let con_name ?(ctx = global_context) t =
 
 let t_true = con_tag c_true
 let t_false = con_tag c_false
-let t_nil = con_tag c_nil
 let t_cons = con_tag c_cons
 let t_unit = con_tag c_unit
-let t_pair = con_tag c_pair
 let t_ok = con_tag c_ok
 let t_bad = con_tag c_bad
 let t_just = con_tag c_just
@@ -181,34 +179,6 @@ let io_action_tags =
 let is_io_action_tag t = List.mem t io_action_tags
 
 (* ------------------------------------------------------------------ *)
-(* Free variables                                                      *)
-(* ------------------------------------------------------------------ *)
-
-module S = Set.Make (String)
-
-let rec fv = function
-  | Var x -> S.singleton x
-  | Lit _ -> S.empty
-  | Lam (x, b) -> S.remove x (fv b)
-  | App (f, a) -> S.union (fv f) (fv a)
-  | Con (_, es) | Prim (_, es) ->
-      List.fold_left (fun s e -> S.union s (fv e)) S.empty es
-  | Case (scrut, alts) ->
-      List.fold_left
-        (fun acc a ->
-          S.union acc (S.diff (fv a.rhs) (S.of_list (pat_binders a.pat))))
-        (fv scrut) alts
-  | Let (x, e1, e2) -> S.union (fv e1) (S.remove x (fv e2))
-  | Letrec (binds, body) ->
-      let bound = S.of_list (List.map fst binds) in
-      S.diff
-        (List.fold_left
-           (fun s (_, e) -> S.union s (fv e))
-           (fv body) binds)
-        bound
-  | Raise e | Fix e -> fv e
-
-(* ------------------------------------------------------------------ *)
 (* Scope: a static image of the runtime frame chain                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -238,7 +208,9 @@ let find_slot (scope : scope) (x : string) : slot option =
    (sorted) order — deterministic, and mirrored by the body scope. *)
 let captures (scope : scope) (e : expr) : string array * slot array =
   let names =
-    List.filter (fun x -> find_slot scope x <> None) (S.elements (fv e))
+    List.filter
+      (fun x -> find_slot scope x <> None)
+      (Subst.String_set.elements (Subst.free_vars e))
   in
   ( Array.of_list names,
     Array.of_list

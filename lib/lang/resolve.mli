@@ -109,10 +109,8 @@ val con_name : ?ctx:context -> int -> string
 
 val t_true : int
 val t_false : int
-val t_nil : int
 val t_cons : int
 val t_unit : int
-val t_pair : int
 val t_ok : int
 val t_bad : int
 val t_just : int

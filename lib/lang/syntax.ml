@@ -99,10 +99,6 @@ let c_unmask = "Unmask"
 let c_timeout = "WithTimeout"
 let c_retry = "Retry"
 let c_evaluate = "Evaluate"
-let c_handler = "Handler"
-let c_left = "Left"
-let c_right = "Right"
-let c_some_exception = "SomeException"
 
 let is_io_constructor c =
   List.mem c
@@ -139,8 +135,15 @@ let is_io_action_constructor c =
          c_evaluate;
        ]
 
-let bool_expr b = Con ((if b then c_true else c_false), [])
-let int_expr n = Lit (Lit_int n)
+let spine e =
+  let rec go args = function App (f, a) -> go (a :: args) f | f -> (f, args) in
+  go [] e
+
+let rec uncurry = function
+  | Lam (x, body) ->
+      let xs, inner = uncurry body in
+      (x :: xs, inner)
+  | e -> ([], e)
 
 let list_expr es =
   List.fold_right (fun e acc -> Con (c_cons, [ e; acc ])) es (Con (c_nil, []))

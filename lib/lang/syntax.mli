@@ -109,10 +109,6 @@ val c_unmask : string
 val c_timeout : string
 val c_retry : string
 val c_evaluate : string
-val c_handler : string
-val c_left : string
-val c_right : string
-val c_some_exception : string
 
 val is_io_constructor : string -> bool
 (** True for the constructors of the [IO] data type, including the
@@ -125,7 +121,11 @@ val is_io_action_constructor : string -> bool
     performable action, excluding the value wrappers [MVarRef] and
     [ThreadId]. *)
 
-val bool_expr : bool -> expr
-val int_expr : int -> expr
+val spine : expr -> expr * expr list
+(** [f a1 ... an] as [(f, [a1; ...; an])]. *)
+
+val uncurry : expr -> string list * expr
+(** [\x1 -> ... \xn -> body] as [([x1; ...; xn], body)]. *)
+
 val list_expr : expr list -> expr
 (** Build a [Cons]/[Nil] spine. *)

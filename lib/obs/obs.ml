@@ -146,7 +146,6 @@ let enable t =
   ignore (buffer t);
   t.on <- true
 
-let disable t = t.on <- false
 let capacity t = t.cap
 let seen t = t.total
 

@@ -95,7 +95,6 @@ val on : t -> bool
 (** The one branch instrumented hot paths pay when tracing is off. *)
 
 val enable : t -> unit
-val disable : t -> unit
 
 val record : t -> event -> unit
 (** Write an event (unconditionally — gate with {!on} at the call

@@ -18,6 +18,3 @@ let rec implements_deep (impl : deep) (den : deep) : bool =
       && List.length ds = List.length is
       && List.for_all2 (fun d i -> implements_deep i d) ds is
   | ((DInt _ | DChar _ | DString _ | DFun | DCon _ | DBad _), _) -> false
-
-let implements_outcome (o : Fixed.outcome) (den : deep) : bool =
-  implements_deep (Fixed.outcome_to_deep o) den

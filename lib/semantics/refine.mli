@@ -15,6 +15,3 @@ val implements_deep : Sem_value.deep -> Sem_value.deep -> bool
     divergence) refines [den] (the imprecise denotation). Componentwise
     on constructors; a denotational [DBad All] (bottom) admits anything;
     [DCut] admits anything on either side. *)
-
-val implements_outcome : Fixed.outcome -> Sem_value.deep -> bool
-(** {!implements_deep} after {!Fixed.outcome_to_deep}. *)

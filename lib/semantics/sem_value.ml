@@ -53,8 +53,6 @@ let bad_at ~label e =
   Bad (Exn_set.singleton e)
 
 let pp_exn_with_origin ppf e = Obs.pp_exn_with provenance ppf e
-let vint n = Ok_v (VInt n)
-
 let vcon0 c = Ok_v (VCon (c, []))
 
 let vbool b = vcon0 (if b then Lang.Syntax.c_true else Lang.Syntax.c_false)
@@ -162,6 +160,11 @@ let rec deep_leq a b =
   | DBad _, (DInt _ | DChar _ | DString _ | DCon _ | DFun) -> false
   | DCon _, (DInt _ | DChar _ | DString _ | DFun | DBad _) -> false
 
+let rec contains_bottom = function
+  | DBad s -> Exn_set.is_all s
+  | DCon (_, ds) -> List.exists contains_bottom ds
+  | DInt _ | DChar _ | DString _ | DFun | DCut -> false
+
 let rec pp_deep ppf = function
   | DInt n -> Fmt.int ppf n
   | DChar c -> Fmt.pf ppf "%C" c
@@ -172,5 +175,3 @@ let rec pp_deep ppf = function
   | DFun -> Fmt.string ppf "<fun>"
   | DBad s -> Fmt.pf ppf "Bad %a" Exn_set.pp s
   | DCut -> Fmt.string ppf "..."
-
-let pp_whnf ppf w = pp_deep ppf (deep_of_whnf ~depth:6 w)

@@ -51,7 +51,6 @@ val bad_at : label:string -> Lang.Exn.t -> whnf
 val pp_exn_with_origin : Lang.Exn.t Fmt.t
 (** Print an exception annotated with its {!provenance} origin. *)
 
-val vint : int -> whnf
 val vbool : bool -> whnf
 val vcon0 : string -> whnf
 
@@ -84,6 +83,8 @@ val deep_leq : deep -> deep -> bool
 (** The information ordering, pointwise: [DBad All] below everything,
     [DBad s ⊑ DBad s'] iff [s' ⊆ s], constructors componentwise. *)
 
+val contains_bottom : deep -> bool
+(** Whether a [DBad All] (bottom: fuel ran out, or a black hole) occurs
+    anywhere in the value. *)
+
 val pp_deep : deep Fmt.t
-val pp_whnf : whnf Fmt.t
-(** Shallow: constructor arguments are printed to a small depth. *)

@@ -56,8 +56,10 @@ type config = {
           per cell the last interrupt paused) plus [slice] steps, so a
           request makes progress at any slice. Smaller is fairer and
           checks deadlines more often; larger amortises the
-          pause/resume cost. The resume's re-entries still count
-          against the request's fuel quota. *)
+          pause/resume cost. The resume's re-entries cost the
+          request no fuel: each requeue gives them back, so a sliced
+          request runs out of fuel exactly where a one-shot run
+          does. *)
   max_inflight : int;
       (** Admission control: requests beyond this answer [overloaded]. *)
   mem_budget : int;
@@ -450,14 +452,16 @@ let finish t req = Stats.add t.agg (Runtime.stats req.m)
    the root and then each cell the last unwind paused, one step a cell.
    Counting the chain is what lets a request whose chain has grown to
    [slice] cells make progress; a quantum that did not cover it would
-   spend itself re-entering the chain and leave it as long again. *)
+   spend itself re-entering the chain and leave it as long again.
+   Returns the resume's re-entries, [chain + 1]. *)
 let arm_slice t req =
   let st = Runtime.stats req.m in
   let chain = st.Stats.thunks_paused - req.paused in
   req.paused <- st.Stats.thunks_paused;
   Runtime.inject_async req.m
     ~at_step:(st.Stats.steps + chain + 1 + t.cfg.slice)
-    Exn.Timeout
+    Exn.Timeout;
+  chain + 1
 
 (* Oldest-paused eviction: the paused requests are the only elastic
    memory the daemon holds, so when their heaps sum past the budget the
@@ -513,7 +517,10 @@ let run_slice t req =
           (Printf.sprintf "steps=%d" (Runtime.stats req.m).Stats.steps)
       end
       else begin
-        arm_slice t req;
+        (* A one-shot run never re-enters: give the resume's re-entries
+           back to the fuel quota, leaving [Stats.steps] as it is. *)
+        let reentries = arm_slice t req in
+        req.m.Runtime.fuel_left <- req.m.Runtime.fuel_left + reentries;
         t.inflight <- t.inflight @ [ Req req ];
         shed_memory t
       end
@@ -620,7 +627,7 @@ let submit t (s : session) (id : string) (o : opts) (src : string) =
             }
           in
           t.next_seq <- t.next_seq + 1;
-          arm_slice t req;
+          ignore (arm_slice t req : int);
           t.inflight <- t.inflight @ [ Req req ]
         in
         (* A root that holds the Prelude starts from the engine's

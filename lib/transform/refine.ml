@@ -23,9 +23,4 @@ let compare_denot ?config ?depth a b =
   let db = Semantics.Denot.run_deep ?config ?depth b in
   compare_deep da db
 
-let is_valid_rewrite ?config ?depth a b =
-  match compare_denot ?config ?depth a b with
-  | Equal | Refines -> true
-  | Refined_by | Incomparable -> false
-
 let implements_deep = Semantics.Refine.implements_deep

@@ -24,11 +24,6 @@ val compare_denot :
   ?config:Semantics.Denot.config -> ?depth:int ->
   Lang.Syntax.expr -> Lang.Syntax.expr -> verdict
 
-val is_valid_rewrite :
-  ?config:Semantics.Denot.config -> ?depth:int ->
-  Lang.Syntax.expr -> Lang.Syntax.expr -> bool
-(** [Equal] or [Refines] — the transformations the paper licenses. *)
-
 val implements_deep :
   Semantics.Sem_value.deep -> Semantics.Sem_value.deep -> bool
 (** Re-export of {!Semantics.Refine.implements_deep}: the C13

@@ -11,14 +11,6 @@ let pp_status ppf = function
 
 let status_equal (a : status) b = a = b
 
-let status_admits ~claimed observed =
-  match (claimed, observed) with
-  | Identity, Identity -> true
-  | Identity, (Refinement | Invalid) -> false
-  | Refinement, (Identity | Refinement) -> true
-  | Refinement, Invalid -> false
-  | Invalid, _ -> true
-
 type rule = {
   name : string;
   description : string;

@@ -19,12 +19,6 @@ type status = Identity | Refinement | Invalid
 val pp_status : status Fmt.t
 val status_equal : status -> status -> bool
 
-val status_admits : claimed:status -> status -> bool
-(** Whether an *observed* status is within the claim: a claimed
-    [Refinement] admits observed [Identity] or [Refinement] on any given
-    instance; a claimed [Invalid] admits anything (invalidity shows up on
-    *some* instance, not all). *)
-
 type rule = {
   name : string;
   description : string;

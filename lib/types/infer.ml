@@ -348,11 +348,6 @@ let add_exn_decl_exn env (d : exn_decl) : env =
           env.cons;
     }
 
-let add_exn_decl env d =
-  match add_exn_decl_exn env d with
-  | env' -> Ok env'
-  | exception Type_error e -> Error e
-
 (* Instantiate a constructor: fresh parameters, field types, result. *)
 let instantiate_con env cname : ty list * ty =
   match SMap.find_opt cname env.cons with
@@ -698,11 +693,6 @@ and infer_letrec env (binds : (string * expr) list) : env =
 let infer env e =
   match infer_exn env e with
   | t -> Ok t
-  | exception Type_error te -> Error te
-
-let extend_letrec env binds =
-  match infer_letrec env binds with
-  | env' -> Ok env'
   | exception Type_error te -> Error te
 
 let with_prelude_cache : env option ref = ref None

@@ -53,11 +53,6 @@ val add_data : env -> Lang.Syntax.data_decl -> (env, error) result
 (** Register a user [data] declaration (checks that field types are
     well-formed and arities match). *)
 
-val add_exn_decl : env -> Lang.Syntax.exn_decl -> (env, error) result
-(** Register a user [exception] declaration: a new constructor of the
-    existing [Exception] type (idempotent — the open vocabulary is
-    monotone, so programs sharing a name type-check independently). *)
-
 val with_prelude : unit -> env
 (** [initial_env] extended with the types of every Prelude binding
     (obtained by inferring the Prelude itself — which is therefore
@@ -66,13 +61,6 @@ val with_prelude : unit -> env
 val infer : env -> Lang.Syntax.expr -> (ty, error) result
 (** Infer the type of an expression whose free variables are bound in
     [env]. *)
-
-val extend_letrec :
-  env -> (string * Lang.Syntax.expr) list -> (env, error) result
-(** Extend [env] with a [letrec] group, per-SCC generalised — exactly
-    what {!infer} does for a [Letrec] before typing its body. Exposed so
-    a caller typing many bodies under one unchanged group (the
-    optimiser's {!Transform.Lint}) can pay for the group once. *)
 
 val infer_program : Lang.Syntax.program -> ((string * ty) list, error) result
 (** Check a whole program under the Prelude: returns the inferred type of

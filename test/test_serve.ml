@@ -704,4 +704,38 @@ let suite =
                   (serve backend slice "sum (enumFromTo 1 10)"))
               [ 1; 7 ])
           [ ("slot", Serve.Slot); ("bytecode", Serve.Bytecode) ]);
+    tc "a sliced request has the fuel of an unsliced one" (fun () ->
+        (* Each requeue gives the next resume's re-entries back to the
+           fuel quota, so at the default slice the deep [foldr] answers
+           what it answers under a slice longer than the whole run: at
+           the fuel that run takes, where deep-forcing runs out, and at
+           one more. A request that never finishes still runs out. *)
+        let src = "foldr (\\x acc -> x + acc) 0 (enumFromTo 1 4000)" in
+        let serve backend slice opts src =
+          let engine =
+            Serve.create
+              ~config:{ Serve.default_config with Serve.backend; slice }
+              ()
+          in
+          let reply = eval_one engine (Serve.session engine) "t" opts src in
+          (reply, (Serve.machine_totals engine).Stats.steps)
+        in
+        let sliced = Serve.default_config.Serve.slice and whole = 1_000_000 in
+        List.iter
+          (fun (name, backend) ->
+            let _, n = serve backend whole "" src in
+            List.iter
+              (fun (fuel, want) ->
+                let opts = Printf.sprintf "fuel=%d" fuel in
+                let what = Printf.sprintf "%s: fuel=%d" name fuel in
+                Alcotest.(check string) (what ^ " unsliced") want
+                  (fst (serve backend whole opts src));
+                Alcotest.(check string) (what ^ " sliced") want
+                  (fst (serve backend sliced opts src)))
+              [ (n, "ok t Bad {ALL}"); (n + 1, "ok t 8002000") ];
+            check_prefix (name ^ ": a diverging request") "err t quota:fuel"
+              (fst
+                 (serve backend sliced ""
+                    "let rec go n = if n > 0 then go n else 0 in go 1")))
+          [ ("slot", Serve.Slot); ("bytecode", Serve.Bytecode) ]);
   ]
