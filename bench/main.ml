@@ -219,6 +219,14 @@ let time_pair ?(warmup = 2) ?(trials = 7) (f : unit -> unit)
   done;
   ({ min_ns = !bf; trials }, { min_ns = !bg; trials })
 
+(* The minor-heap words [f] allocates: [Gc.minor_words], not
+   [Gc.quick_stat], whose word counts only move at a collection. For a
+   deterministic [f] this is a count, and it is recorded as one. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -924,7 +932,8 @@ let slot_workloads =
    noise-robust estimator, since runner interference only adds time —
    over 21 trials: with 7, a shared runner's noise pushed the best
    speedup under the bar in about one run in sixteen. The best-workload
-   speedup is asserted >= 1.3x (CI smoke runs this table). *)
+   speedup is asserted >= 1.3x, and forcing an evaluated cell at most
+   16 words on either loop (CI smoke runs this table). *)
 let table_bytecode () =
   header
     "Table F (flat bytecode): compiled instruction array + \
@@ -980,6 +989,43 @@ let table_bytecode () =
   let best = List.fold_left max 0.0 speedups in
   ratio ~trials "F" "best" "speedup" best;
   show ~first:"workload" "F";
+  (* Entering a run. Every catch mark, IO transition and node a reply
+     deep-forces is a run of its own, so each loop is also measured on
+     forcing a cell that is already a value (1,000 forces) and on
+     deep-forcing an evaluated [enumFromTo 1 50], which enters a run per
+     node. The words are {!minor_words}, a deterministic count; the
+     deep-force times are [time_pair]'s. A run allocates only its state
+     record, so a force is gated at 16 words. *)
+  let forces = 1_000 and entry_bound = 16. in
+  let force_row = "force an evaluated cell"
+  and deep_row = "deep-force enumFromTo 1 50" in
+  let entered name force deep =
+    deep ();
+    let per_force =
+      minor_words (fun () ->
+          for _ = 1 to forces do
+            force ()
+          done)
+      /. float forces
+    in
+    count ~digits:1 "F entry" force_row (name ^ " minor words") per_force;
+    count "F entry" deep_row (name ^ " minor words") (minor_words deep);
+    (name, per_force)
+  in
+  let list = parse "enumFromTo 1 50" in
+  let m = Machine.create () in
+  let a = Machine.alloc m list in
+  let b = Bytecode.create (Bytecode.compile_expr list) in
+  let ba = Bytecode.entry b in
+  let slot_deep () = ignore (Machine.deep m a)
+  and bc_deep () = ignore (Bytecode.deep b ba) in
+  let slot = entered "slot" (fun () -> ignore (Machine.force m a)) slot_deep in
+  let bc = entered "bc" (fun () -> ignore (Bytecode.force b ba)) bc_deep in
+  let t_slot, t_bc = time_pair ~trials slot_deep bc_deep in
+  ns "F entry" deep_row "slot ns" t_slot;
+  ns "F entry" deep_row "bc ns" t_bc;
+  Fmt.pr "@.entering a run (%d forces of an evaluated cell):@." forces;
+  show ~first:"entry" "F entry";
   (* The CI assertion, with slack: the tentpole claims a multi-x
      speedup; the smoke bar is a conservative 1.3x on at least one
      workload so shared-runner noise cannot flake the build. *)
@@ -989,7 +1035,18 @@ let table_bytecode () =
        machine@."
       best;
     exit 1
-  end
+  end;
+  List.iter
+    (fun (name, w) ->
+      if w > entry_bound then begin
+        Fmt.epr
+          "table_bytecode FAIL: forcing an evaluated cell on %s allocated \
+           %.1f words (want at most %.0f: a run allocates only its state \
+           record)@."
+          name w entry_bound;
+        exit 1
+      end)
+    [ slot; bc ]
 
 (* ------------------------------------------------------------------ *)
 (* Table T — flight-recorder overhead (observability layer)            *)
@@ -1255,12 +1312,7 @@ let table_serve () =
   let held = Resolve.new_context () in
   let memo () = ignore (Resolve.expr ~ctx:held wrapped) in
   memo ();
-  let words f =
-    let w0 = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. w0
-  in
-  let fresh_words = words fresh and memo_words = words memo in
+  let fresh_words = minor_words fresh and memo_words = minor_words memo in
   let t_fresh, t_memo = time_pair fresh memo in
   let r = "resolve time (min ns)" in
   count "S resolve" "resolve minor words" "fresh ctx" fresh_words;

@@ -483,12 +483,69 @@ let update = function BF_update a -> Some a | _ -> None
    hot result; the other arms allocate only on their (rare) paths. *)
 type guard = Go | Trip of string * Exn.t | Async of Exn.t
 
+(* One run's state, the only block a run allocates at entry: the frame
+   stack and its depth, and what is fixed for the run — the program and
+   its code array, the counters, the poll flag and the latch bounds.
+   Asynchronous events reach only an unmasked catch mark, and the mask
+   depth is set between runs, so [poll] is fixed per run; an absent
+   latch limit is [max_int], so the per-step check is one integer
+   compare. A nested run (a mapException function, a raised payload's
+   readback) gets its own record. *)
+type state = {
+  m : t;
+  prog : program;
+  codea : int array;
+  stats : Stats.t;
+  mutable stack : bframe list;
+  mutable depth : int;
+  poll : bool;
+  stack_lim : int;
+  heap_lim : int;
+}
+
+let limit = function Some l -> l | None -> max_int
+
+let push s f =
+  s.stack <- f :: s.stack;
+  s.depth <- s.depth + 1;
+  if s.depth > s.stats.Stats.max_stack then s.stats.Stats.max_stack <- s.depth
+
+let type_error msg = raise (Prim_type_error msg)
+
+(* The preamble, shared by all three transition functions: count the
+   step, burn fuel, check the latches, poll for an asynchronous
+   delivery — one call, one branch on the hot path.
+   [Stats.bc_dispatches] is not bumped here: for this machine it is
+   identically [steps], so the run synchronises it once at exit
+   instead of paying a second counter store per dispatch. *)
+let check s : guard =
+  let m = s.m and stats = s.stats in
+  stats.Stats.steps <- stats.Stats.steps + 1;
+  m.fuel_left <- m.fuel_left - 1;
+  if m.fuel_left <= 0 then raise (Machine_stuck Fail_diverged);
+  if s.depth > s.stack_lim then begin
+    stats.Stats.stack_overflows <- stats.Stats.stack_overflows + 1;
+    Trip ("stack-limit", Exn.Stack_overflow_exn)
+  end
+  else if m.heap_check_armed && Growarray.length m.heap >= s.heap_lim then begin
+    m.heap_check_armed <- false;
+    stats.Stats.heap_overflows <- stats.Stats.heap_overflows + 1;
+    Trip ("heap-limit", Exn.Heap_overflow)
+  end
+  else if s.poll then
+    match m.async with
+    | (k, x) :: rest when stats.Stats.steps >= k ->
+        m.async <- rest;
+        Async x
+    | _ -> Go
+  else Go
+
 (* The dispatch loop, in direct tail-call style: three mutually
    recursive functions — [exec] (run instructions at a pc), [enter]
    (force a heap address), [ret] (return a value to the top frame) —
-   carry the machine state in their arguments, so a transition is a
-   tail call with the state in registers: no per-step variant
-   allocation, no mode cell, no dispatch-on-a-dispatch. Every
+   carry the position in their arguments and the run's state in [s], so
+   a transition is a tail call with the state in registers: no per-step
+   variant allocation, no mode cell, no dispatch-on-a-dispatch. Every
    transition still runs the same preamble as the slot machine (fuel,
    stack latch, heap latch, async poll, in that order), so the two
    backends hit their latches and deliver asynchronous exceptions under
@@ -497,353 +554,310 @@ type guard = Go | Trip of string * Exn.t | Async of Exn.t
 let rec run (m : t) ~(catch : bool) (code0 : (int, int) code) :
     (mvalue, failure) result =
   let prog = m.prog in
-  let codea = prog.code in
-  let stats = m.stats in
-  let stack : bframe list ref = ref [] in
-  let depth = ref 0 in
-  (* Latch bounds and the arithmetic overflow bound, hoisted out of the
-     preamble: an absent limit becomes [max_int], so the per-step check
-     is one integer compare instead of an option match. *)
-  let stack_lim =
-    match m.cfg.stack_limit with Some l -> l | None -> max_int
+  let s =
+    {
+      m;
+      prog;
+      codea = prog.code;
+      stats = m.stats;
+      stack = [];
+      depth = 0;
+      poll = catch && m.mask_depth = 0;
+      stack_lim = limit m.cfg.stack_limit;
+      heap_lim = limit m.cfg.heap_limit;
+    }
   in
-  let heap_lim =
-    match m.cfg.heap_limit with Some l -> l | None -> max_int
-  in
-  (* Asynchronous events reach only an unmasked catch mark; the mask
-     depth is set between runs, so the condition is fixed per run. *)
-  let poll = catch && m.mask_depth = 0 in
-  let push f =
-    stack := f :: !stack;
-    incr depth;
-    if !depth > stats.Stats.max_stack then stats.Stats.max_stack <- !depth
-  in
-  let type_error msg = raise (Prim_type_error msg) in
-
-  let note_raise label exn = note_raise m ~depth:!depth label exn in
-
-  (* The preamble, shared by all three transition functions: count the
-     step, burn fuel, check the latches, poll for an asynchronous
-     delivery — one call, one branch on the hot path.
-     [Stats.bc_dispatches] is not bumped here: for this machine it is
-     identically [steps], so the run synchronises it once at exit
-     instead of paying a second counter store per dispatch. *)
-  let check () : guard =
-    stats.Stats.steps <- stats.Stats.steps + 1;
-    m.fuel_left <- m.fuel_left - 1;
-    if m.fuel_left <= 0 then raise (Machine_stuck Fail_diverged);
-    if !depth > stack_lim then begin
-      stats.Stats.stack_overflows <- stats.Stats.stack_overflows + 1;
-      Trip ("stack-limit", Exn.Stack_overflow_exn)
-    end
-    else if m.heap_check_armed && Growarray.length m.heap >= heap_lim
-    then begin
-      m.heap_check_armed <- false;
-      stats.Stats.heap_overflows <- stats.Stats.heap_overflows + 1;
-      Trip ("heap-limit", Exn.Heap_overflow)
-    end
-    else if poll then
-      match m.async with
-      | (k, x) :: rest when stats.Stats.steps >= k ->
-          m.async <- rest;
-          Async x
-      | _ -> Go
-    else Go
-  in
-
-  (* Synchronous unwinding: trim to the mark, poisoning update frames
-     (Section 3.3). Continues execution at the mark's continuation, or
-     raises [Machine_stuck] when the stack is fully unwound. *)
-  let rec unwind_sync (o : Obs.origin) (exn : Exn.t) : mvalue =
-    match !stack with
-    | [] -> raise (Machine_stuck (Fail_exn exn))
-    | f :: rest -> (
-        stack := rest;
-        decr depth;
-        stats.Stats.frames_trimmed <- stats.Stats.frames_trimmed + 1;
-        match f with
-        | BF_update a ->
-            poison m a exn o;
-            unwind_sync o exn
-        | BF_isexn -> ret (MCon (R.t_true, [||]))
-        | BF_catch ->
-            ret (MCon (R.t_bad, [| alloc_value m (exn_to_mvalue m exn) |]))
-        | BF_mapexn f_addr ->
-            let exn' = map_exn run m ~app:prog.app_pc f_addr exn in
-            unwind_sync (note_raise "mapException" exn') exn'
-        | BF_apply _ | BF_case _ | BF_prim _ | BF_raise _ ->
-            unwind_sync o exn)
-
-  and raise_to ?(label = "raise") exn : mvalue =
-    unwind_sync (note_raise label exn) exn
-
-  and reraise o exn : mvalue =
-    note_reraise m o exn;
-    unwind_sync o exn
-
-  and arith (n : int) : mvalue =
-    if n >= -Runtime.arith_bound && n < Runtime.arith_bound then
-      ret_fused (MInt n)
-    else raise_to ~label:"arith-overflow" Exn.Overflow
-
-  and apply_prim (p : Lang.Prim.t) (vs : mvalue array) : mvalue =
-    let module P = Lang.Prim in
-    match (p, vs) with
-    | P.Add, [| MInt a; MInt b |] -> arith (a + b)
-    | P.Sub, [| MInt a; MInt b |] -> arith (a - b)
-    | P.Mul, [| MInt a; MInt b |] -> arith (a * b)
-    | P.Div, [| MInt _; MInt 0 |] -> raise_to ~label:"div" Exn.Divide_by_zero
-    | P.Div, [| MInt a; MInt b |] -> arith (a / b)
-    | P.Mod, [| MInt _; MInt 0 |] -> raise_to ~label:"mod" Exn.Divide_by_zero
-    | P.Mod, [| MInt a; MInt b |] -> arith (a mod b)
-    | P.Neg, [| MInt a |] -> arith (-a)
-    | (P.Add | P.Sub | P.Mul | P.Div | P.Mod), _ ->
-        type_error (P.name p ^ ": expected integers")
-    | P.Neg, _ -> type_error "negate: expected an integer"
-    | (P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge), [| a; b |] ->
-        ret_fused (compare_prim m p a b)
-    | (P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge), _ ->
-        type_error (P.name p ^ ": uncomparable values")
-    | P.Seq, [| _; v2 |] -> ret_fused v2
-    | P.Seq, _ -> type_error "seq: arity"
-    | P.Chr, [| MInt a |] when a >= 0 && a < 256 ->
-        ret_fused (MChar (Char.chr a))
-    | P.Chr, [| MInt _ |] -> type_error "chr: out of range"
-    | P.Chr, _ -> type_error "chr: expected an integer"
-    | P.Ord, [| MChar c |] -> ret_fused (MInt (Char.code c))
-    | P.Ord, _ -> type_error "ord: expected a character"
-    | (P.Map_exception | P.Unsafe_is_exception | P.Unsafe_get_exception), _
-      ->
-        type_error (P.name p ^ ": not strict-applied")
-
-  (* The constructor-return path of a case frame: inline cache first,
-     table walk on a miss (which refills the cache on a constructor
-     match). The walk is exactly {!Stg.select_alt}. *)
-  and sel_alt (c : case_site) (cenv : env) (v : mvalue) (i : int) : mvalue =
-    if i >= Array.length c.c_alts then
-      raise_to ~label:"case" (Exn.Pattern_match_fail "case")
-    else
-      let a = c.c_alts.(i) in
-      match (a.bpat, v) with
-      | Bp_con (t, nb), MCon (t', addrs)
-        when t = t' && Array.length addrs = nb ->
-          c.ic_tag <- t;
-          c.ic_nb <- nb;
-          c.ic_pc <- a.bpc;
-          exec a.bpc (if nb = 0 then cenv else Env_frame (addrs, cenv))
-      | Bp_lit (Lit_int k), MInt n when k = n -> exec a.bpc cenv
-      | Bp_lit (Lit_char ch), MChar ch' when ch = ch' -> exec a.bpc cenv
-      | Bp_lit (Lit_string s), MString s' when String.equal s s' ->
-          exec a.bpc cenv
-      | Bp_any false, _ -> exec a.bpc cenv
-      | Bp_any true, _ ->
-          exec a.bpc (Env_frame ([| alloc_value m v |], cenv))
-      | (Bp_con _ | Bp_lit _), _ -> sel_alt c cenv v (i + 1)
-
-  and ret_case (ci : int) (cenv : env) (v : mvalue) : mvalue =
-    let c = Array.unsafe_get prog.cases ci in
-    match v with
-    | MCon (tag, addrs) ->
-        let nb = Array.length addrs in
-        if c.ic_tag = tag && c.ic_nb = nb then begin
-          stats.Stats.ic_hits <- stats.Stats.ic_hits + 1;
-          exec c.ic_pc (if nb = 0 then cenv else Env_frame (addrs, cenv))
-        end
-        else begin
-          stats.Stats.ic_misses <- stats.Stats.ic_misses + 1;
-          sel_alt c cenv v 0
-        end
-    | MInt _ | MChar _ | MString _ | MClo _ -> sel_alt c cenv v 0
-
-  (* Execute the instruction at [p]. *)
-  and exec (p : int) (env : env) : mvalue =
-    match check () with
-    | Trip (label, exn) -> raise_to ~label exn
-    | Async x ->
-        unwind_async m ~depth:!depth ~update (C_eval (p, env)) !stack x
-    | Go -> (
-        match Array.unsafe_get codea p with
-            | 0 (* enter *) -> enter (lookup env codea.(p + 1))
-            | 1 (* ret_int *) -> ret_fused (MInt codea.(p + 1))
-            | 2 (* ret_char *) -> ret_fused (MChar (Char.chr codea.(p + 1)))
-            | 3 (* ret_str *) ->
-                ret_fused (MString prog.strs.(codea.(p + 1)))
-            | 4 (* ret_clo *) ->
-                let li = codea.(p + 1) in
-                let l = prog.lams.(li) in
-                ret_fused (MClo (li, lookup_all env l.l_caps))
-            | 5 (* ret_con *) ->
-                let tag = codea.(p + 1) and n = codea.(p + 2) in
-                let args = Array.make n 0 in
-                for i = 0 to n - 1 do
-                  Array.unsafe_set args i (arg_addr m env codea.(p + 3 + i))
-                done;
-                ret_fused (MCon (tag, args))
-            | 6 (* ret_con0 *) -> ret_fused (MCon (codea.(p + 1), [||]))
-            | 7 (* push_apply *) ->
-                push (BF_apply (arg_addr m env codea.(p + 1)));
-                exec (p + 2) env
-            | 8 (* app_enter *) ->
-                push (BF_apply (arg_addr m env codea.(p + 1)));
-                enter (lookup env codea.(p + 2))
-            | 9 (* let_slot *) ->
-                exec (p + 2)
-                  (Env_frame ([| lookup env codea.(p + 1) |], env))
-            | 10 (* let_thunk *) ->
-                exec (p + 2)
-                  (Env_frame ([| alloc_tspec m env codea.(p + 1) |], env))
-            | 11 (* letrec *) ->
-                let n = codea.(p + 1) in
-                let addrs =
-                  Array.init n (fun _ -> alloc_cell m Cell_unused)
-                in
-                let env' = Env_frame (addrs, env) in
-                for i = 0 to n - 1 do
-                  let sp = prog.tspecs.(codea.(p + 2 + i)) in
-                  Growarray.fast_set m.heap addrs.(i)
-                    (Cell_thunk (sp.t_pc, capture env' sp.t_caps))
-                done;
-                exec (p + 2 + n) env'
-            | 12 (* push_case *) ->
-                push (BF_case (codea.(p + 1), env));
-                exec (p + 2) env
-            | 13 (* case_enter *) ->
-                push (BF_case (codea.(p + 1), env));
-                enter (lookup env codea.(p + 2))
-            | 14 (* push_prim *) ->
-                let si = codea.(p + 1) in
-                let ps = Array.unsafe_get prog.prims si in
-                push
-                  (BF_prim
-                     ( si,
-                       Array.make (Array.length ps.ps_args + 1) (MInt 0),
-                       0,
-                       env ));
-                exec (p + 2) env
-            | 15 (* prim0 *) ->
-                type_error
-                  (Lang.Prim.name prog.prims.(codea.(p + 1)).ps_prim
-                  ^ ": no arguments")
-            | 16 (* push_raise *) ->
-                push (BF_raise codea.(p + 1));
-                exec (p + 2) env
-            | 17 (* push_mapexn *) ->
-                push (BF_mapexn (arg_addr m env codea.(p + 1)));
-                exec (p + 2) env
-            | 18 (* push_isexn *) ->
-                push BF_isexn;
-                exec (p + 1) env
-            | 19 (* push_catch *) ->
-                push BF_catch;
-                exec (p + 1) env
-            | 20 (* unbound *) ->
-                raise_to ~label:"unbound"
-                  (Exn.Type_error
-                     (Printf.sprintf "unbound variable %s"
-                        prog.strs.(codea.(p + 1))))
-            | _ -> invariant_failure m "corrupt opcode")
-
-  (* Force the heap address [a]. *)
-  and enter (a : addr) : mvalue =
-    match check () with
-    | Trip (label, exn) -> raise_to ~label exn
-    | Async x ->
-        unwind_async m ~depth:!depth ~update (C_enter a) !stack x
-    | Go -> (
-        match Growarray.fast_get m.heap a with
-            | Cell_value v -> ret_fused v
-            | Cell_thunk (tpc, tenv) ->
-                Growarray.fast_set m.heap a Cell_blackhole;
-                push (BF_update a);
-                exec tpc tenv
-            | Cell_blackhole ->
-                if m.cfg.blackhole_nontermination then
-                  raise_to ~label:"blackhole" Exn.Non_termination
-                else raise (Machine_stuck Fail_diverged)
-            | Cell_raise (exn, o) -> reraise o exn
-            | Cell_paused (code', seg) ->
-                Growarray.fast_set m.heap a Cell_blackhole;
-                push (BF_update a);
-                List.iter push (List.rev seg);
-                if Obs.on m.trace then Obs.record m.trace (Obs.Ev_resume a);
-                goto code'
-            | Cell_unused -> type_error "dangling address")
-
-  (* Return the value [v] to the top stack frame. An empty stack is the
-     terminal state — no transition is charged for it, matching the
-     slot machine's loop. [ret] charges a transition; [ret_fused] pops
-     under a preamble the caller already paid — the fused path taken
-     when the producing dispatch (a ret_* instruction, a memoised
-     [Cell_value], a prim application) hands its value straight to the
-     waiting frame. Fusion is bounded: the popped frame's continuation
-     re-enters [exec]/[ret]/[enter], each of which charges normally. *)
-  and ret (v : mvalue) : mvalue =
-    match !stack with
-    | [] -> v
-    | f :: rest -> (
-        match check () with
-        | Trip (label, exn) -> raise_to ~label exn
-        | Async x ->
-            unwind_async m ~depth:!depth ~update (C_ret v) !stack x
-        | Go -> pop_ret f rest v)
-
-  and ret_fused (v : mvalue) : mvalue =
-    match !stack with [] -> v | f :: rest -> pop_ret f rest v
-
-  and pop_ret (f : bframe) (rest : bframe list) (v : mvalue) : mvalue =
-    stack := rest;
-    decr depth;
-    match f with
-    | BF_update a ->
-        Growarray.fast_set m.heap a (Cell_value v);
-        stats.Stats.updates <- stats.Stats.updates + 1;
-        ret v
-    | BF_apply a -> (
-        match v with
-        | MClo (li, caps) ->
-            exec
-              (Array.unsafe_get prog.lams li).l_pc
-              (Env_frame ([| a |], Env_frame (caps, Env_nil)))
-        | MInt _ | MChar _ | MString _ | MCon _ ->
-            type_error "application of a non-function")
-    | BF_case (ci, cenv) -> ret_case ci cenv v
-    | BF_prim (si, vals, i, penv) ->
-        let ps = Array.unsafe_get prog.prims si in
-        Array.unsafe_set vals i v;
-        if i >= Array.length ps.ps_args then apply_prim ps.ps_prim vals
-        else begin
-          push (BF_prim (si, vals, i + 1, penv));
-          exec ps.ps_args.(i) penv
-        end
-    | BF_raise li -> raise_to ~label:prog.strs.(li) (raised_exn run m v)
-    | BF_mapexn _ ->
-        (* Normal value: mapException is the identity. *)
-        ret v
-    | BF_isexn -> ret (MCon (R.t_false, [||]))
-    | BF_catch -> ret (MCon (R.t_ok, [| alloc_value m v |]))
-
-  and goto : (int, int) code -> mvalue = function
-    | C_eval (p, e) -> exec p e
-    | C_enter a -> enter a
-    | C_ret v -> ret v
-  in
-  (* A prim type error unwinds like an ordinary raise from the point of
-     the error — the machine stack is intact when the OCaml exception
-     reaches here, so [raise_to] resumes the run; the next type error
-     (if any) re-enters the same handler. *)
-  let rec protect f =
-    try f ()
-    with Prim_type_error msg ->
-      protect (fun () -> raise_to ~label:"type-error" (Exn.Type_error msg))
-  in
-  (* Synchronise the dispatch counter on every exit — including
+  (* The dispatch counter is synchronised on every exit — including
      escaping exceptions, which the serve crash barrier turns into
      replies whose machine stats are still harvested. *)
-  Fun.protect
-    ~finally:(fun () -> stats.Stats.bc_dispatches <- stats.Stats.steps)
-    (fun () ->
-      try Ok (protect (fun () -> goto code0))
-      with Machine_stuck failure -> Error failure)
+  let r =
+    match guarded s code0 with
+    | v -> Ok v
+    | exception Machine_stuck failure -> Error failure
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        s.stats.Stats.bc_dispatches <- s.stats.Stats.steps;
+        Printexc.raise_with_backtrace e bt
+  in
+  s.stats.Stats.bc_dispatches <- s.stats.Stats.steps;
+  r
+
+(* A prim type error unwinds like an ordinary raise from the point of
+   the error — the machine stack is intact when the OCaml exception
+   reaches here, so [raise_to] resumes the run; the next type error (if
+   any) re-enters the same handler. *)
+and guarded s code =
+  try goto s code
+  with Prim_type_error msg -> type_errored s msg
+
+and type_errored s msg =
+  try raise_to s "type-error" (Exn.Type_error msg)
+  with Prim_type_error msg -> type_errored s msg
+
+(* Synchronous unwinding: trim to the mark, poisoning update frames
+   (Section 3.3). Continues execution at the mark's continuation, or
+   raises [Machine_stuck] when the stack is fully unwound. *)
+and unwind_sync s (o : Obs.origin) (exn : Exn.t) : mvalue =
+  match s.stack with
+  | [] -> raise (Machine_stuck (Fail_exn exn))
+  | f :: rest -> (
+      s.stack <- rest;
+      s.depth <- s.depth - 1;
+      s.stats.Stats.frames_trimmed <- s.stats.Stats.frames_trimmed + 1;
+      match f with
+      | BF_update a ->
+          poison s.m a exn o;
+          unwind_sync s o exn
+      | BF_isexn -> ret s (MCon (R.t_true, [||]))
+      | BF_catch ->
+          ret s (MCon (R.t_bad, [| alloc_value s.m (exn_to_mvalue s.m exn) |]))
+      | BF_mapexn f_addr ->
+          let exn' = map_exn run s.m ~app:s.prog.app_pc f_addr exn in
+          raise_to s "mapException" exn'
+      | BF_apply _ | BF_case _ | BF_prim _ | BF_raise _ -> unwind_sync s o exn)
+
+and raise_to s label exn : mvalue =
+  unwind_sync s (note_raise s.m ~depth:s.depth label exn) exn
+
+and arith s (n : int) : mvalue =
+  if n >= -Runtime.arith_bound && n < Runtime.arith_bound then
+    ret_fused s (MInt n)
+  else raise_to s "arith-overflow" Exn.Overflow
+
+and apply_prim s (p : Lang.Prim.t) (vs : mvalue array) : mvalue =
+  let module P = Lang.Prim in
+  match (p, vs) with
+  | P.Add, [| MInt a; MInt b |] -> arith s (a + b)
+  | P.Sub, [| MInt a; MInt b |] -> arith s (a - b)
+  | P.Mul, [| MInt a; MInt b |] -> arith s (a * b)
+  | P.Div, [| MInt _; MInt 0 |] -> raise_to s "div" Exn.Divide_by_zero
+  | P.Div, [| MInt a; MInt b |] -> arith s (a / b)
+  | P.Mod, [| MInt _; MInt 0 |] -> raise_to s "mod" Exn.Divide_by_zero
+  | P.Mod, [| MInt a; MInt b |] -> arith s (a mod b)
+  | P.Neg, [| MInt a |] -> arith s (-a)
+  | (P.Add | P.Sub | P.Mul | P.Div | P.Mod), _ ->
+      type_error (P.name p ^ ": expected integers")
+  | P.Neg, _ -> type_error "negate: expected an integer"
+  | (P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge), [| a; b |] ->
+      ret_fused s (compare_prim s.m p a b)
+  | (P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge), _ ->
+      type_error (P.name p ^ ": uncomparable values")
+  | P.Seq, [| _; v2 |] -> ret_fused s v2
+  | P.Seq, _ -> type_error "seq: arity"
+  | P.Chr, [| MInt a |] when a >= 0 && a < 256 ->
+      ret_fused s (MChar (Char.chr a))
+  | P.Chr, [| MInt _ |] -> type_error "chr: out of range"
+  | P.Chr, _ -> type_error "chr: expected an integer"
+  | P.Ord, [| MChar c |] -> ret_fused s (MInt (Char.code c))
+  | P.Ord, _ -> type_error "ord: expected a character"
+  | (P.Map_exception | P.Unsafe_is_exception | P.Unsafe_get_exception), _ ->
+      type_error (P.name p ^ ": not strict-applied")
+
+(* The constructor-return path of a case frame: inline cache first,
+   table walk on a miss (which refills the cache on a constructor
+   match). The walk is exactly {!Stg.select_alt}. *)
+and sel_alt s (c : case_site) (cenv : env) (v : mvalue) (i : int) : mvalue =
+  if i >= Array.length c.c_alts then
+    raise_to s "case" (Exn.Pattern_match_fail "case")
+  else
+    let a = c.c_alts.(i) in
+    match (a.bpat, v) with
+    | Bp_con (t, nb), MCon (t', addrs) when t = t' && Array.length addrs = nb
+      ->
+        c.ic_tag <- t;
+        c.ic_nb <- nb;
+        c.ic_pc <- a.bpc;
+        exec s a.bpc (if nb = 0 then cenv else Env_frame (addrs, cenv))
+    | Bp_lit (Lit_int k), MInt n when k = n -> exec s a.bpc cenv
+    | Bp_lit (Lit_char ch), MChar ch' when ch = ch' -> exec s a.bpc cenv
+    | Bp_lit (Lit_string str), MString str' when String.equal str str' ->
+        exec s a.bpc cenv
+    | Bp_any false, _ -> exec s a.bpc cenv
+    | Bp_any true, _ ->
+        exec s a.bpc (Env_frame ([| alloc_value s.m v |], cenv))
+    | (Bp_con _ | Bp_lit _), _ -> sel_alt s c cenv v (i + 1)
+
+and ret_case s (ci : int) (cenv : env) (v : mvalue) : mvalue =
+  let c = Array.unsafe_get s.prog.cases ci in
+  match v with
+  | MCon (tag, addrs) ->
+      let nb = Array.length addrs in
+      if c.ic_tag = tag && c.ic_nb = nb then begin
+        s.stats.Stats.ic_hits <- s.stats.Stats.ic_hits + 1;
+        exec s c.ic_pc (if nb = 0 then cenv else Env_frame (addrs, cenv))
+      end
+      else begin
+        s.stats.Stats.ic_misses <- s.stats.Stats.ic_misses + 1;
+        sel_alt s c cenv v 0
+      end
+  | MInt _ | MChar _ | MString _ | MClo _ -> sel_alt s c cenv v 0
+
+(* Execute the instruction at [p]. *)
+and exec s (p : int) (env : env) : mvalue =
+  match check s with
+  | Trip (label, exn) -> raise_to s label exn
+  | Async x ->
+      unwind_async s.m ~depth:s.depth ~update (C_eval (p, env)) s.stack x
+  | Go -> (
+      let codea = s.codea in
+      match Array.unsafe_get codea p with
+      | 0 (* enter *) -> enter s (lookup env codea.(p + 1))
+      | 1 (* ret_int *) -> ret_fused s (MInt codea.(p + 1))
+      | 2 (* ret_char *) -> ret_fused s (MChar (Char.chr codea.(p + 1)))
+      | 3 (* ret_str *) -> ret_fused s (MString s.prog.strs.(codea.(p + 1)))
+      | 4 (* ret_clo *) ->
+          let li = codea.(p + 1) in
+          let l = s.prog.lams.(li) in
+          ret_fused s (MClo (li, lookup_all env l.l_caps))
+      | 5 (* ret_con *) ->
+          let tag = codea.(p + 1) and n = codea.(p + 2) in
+          let args = Array.make n 0 in
+          for i = 0 to n - 1 do
+            Array.unsafe_set args i (arg_addr s.m env codea.(p + 3 + i))
+          done;
+          ret_fused s (MCon (tag, args))
+      | 6 (* ret_con0 *) -> ret_fused s (MCon (codea.(p + 1), [||]))
+      | 7 (* push_apply *) ->
+          push s (BF_apply (arg_addr s.m env codea.(p + 1)));
+          exec s (p + 2) env
+      | 8 (* app_enter *) ->
+          push s (BF_apply (arg_addr s.m env codea.(p + 1)));
+          enter s (lookup env codea.(p + 2))
+      | 9 (* let_slot *) ->
+          exec s (p + 2) (Env_frame ([| lookup env codea.(p + 1) |], env))
+      | 10 (* let_thunk *) ->
+          exec s (p + 2)
+            (Env_frame ([| alloc_tspec s.m env codea.(p + 1) |], env))
+      | 11 (* letrec *) ->
+          let n = codea.(p + 1) in
+          let addrs = Array.init n (fun _ -> alloc_cell s.m Cell_unused) in
+          let env' = Env_frame (addrs, env) in
+          for i = 0 to n - 1 do
+            let sp = s.prog.tspecs.(codea.(p + 2 + i)) in
+            Growarray.fast_set s.m.heap addrs.(i)
+              (Cell_thunk (sp.t_pc, capture env' sp.t_caps))
+          done;
+          exec s (p + 2 + n) env'
+      | 12 (* push_case *) ->
+          push s (BF_case (codea.(p + 1), env));
+          exec s (p + 2) env
+      | 13 (* case_enter *) ->
+          push s (BF_case (codea.(p + 1), env));
+          enter s (lookup env codea.(p + 2))
+      | 14 (* push_prim *) ->
+          let si = codea.(p + 1) in
+          let ps = Array.unsafe_get s.prog.prims si in
+          push s
+            (BF_prim
+               (si, Array.make (Array.length ps.ps_args + 1) (MInt 0), 0, env));
+          exec s (p + 2) env
+      | 15 (* prim0 *) ->
+          type_error
+            (Lang.Prim.name s.prog.prims.(codea.(p + 1)).ps_prim
+            ^ ": no arguments")
+      | 16 (* push_raise *) ->
+          push s (BF_raise codea.(p + 1));
+          exec s (p + 2) env
+      | 17 (* push_mapexn *) ->
+          push s (BF_mapexn (arg_addr s.m env codea.(p + 1)));
+          exec s (p + 2) env
+      | 18 (* push_isexn *) ->
+          push s BF_isexn;
+          exec s (p + 1) env
+      | 19 (* push_catch *) ->
+          push s BF_catch;
+          exec s (p + 1) env
+      | 20 (* unbound *) ->
+          raise_to s "unbound"
+            (Exn.Type_error
+               (Printf.sprintf "unbound variable %s"
+                  s.prog.strs.(codea.(p + 1))))
+      | _ -> invariant_failure s.m "corrupt opcode")
+
+(* Force the heap address [a]. *)
+and enter s (a : addr) : mvalue =
+  match check s with
+  | Trip (label, exn) -> raise_to s label exn
+  | Async x -> unwind_async s.m ~depth:s.depth ~update (C_enter a) s.stack x
+  | Go -> (
+      let m = s.m in
+      match Growarray.fast_get m.heap a with
+      | Cell_value v -> ret_fused s v
+      | Cell_thunk (tpc, tenv) ->
+          Growarray.fast_set m.heap a Cell_blackhole;
+          push s (BF_update a);
+          exec s tpc tenv
+      | Cell_blackhole ->
+          if m.cfg.blackhole_nontermination then
+            raise_to s "blackhole" Exn.Non_termination
+          else raise (Machine_stuck Fail_diverged)
+      | Cell_raise (exn, o) ->
+          note_reraise m o exn;
+          unwind_sync s o exn
+      | Cell_paused (code', seg) ->
+          Growarray.fast_set m.heap a Cell_blackhole;
+          push s (BF_update a);
+          List.iter (push s) (List.rev seg);
+          if Obs.on m.trace then Obs.record m.trace (Obs.Ev_resume a);
+          goto s code'
+      | Cell_unused -> type_error "dangling address")
+
+(* Return the value [v] to the top stack frame. An empty stack is the
+   terminal state — no transition is charged for it, matching the slot
+   machine's loop. [ret] charges a transition; [ret_fused] pops under a
+   preamble the caller already paid — the fused path taken when the
+   producing dispatch (a ret_* instruction, a memoised [Cell_value], a
+   prim application) hands its value straight to the waiting frame.
+   Fusion is bounded: the popped frame's continuation re-enters
+   [exec]/[ret]/[enter], each of which charges normally. *)
+and ret s (v : mvalue) : mvalue =
+  match s.stack with
+  | [] -> v
+  | f :: rest -> (
+      match check s with
+      | Trip (label, exn) -> raise_to s label exn
+      | Async x -> unwind_async s.m ~depth:s.depth ~update (C_ret v) s.stack x
+      | Go -> pop_ret s f rest v)
+
+and ret_fused s (v : mvalue) : mvalue =
+  match s.stack with [] -> v | f :: rest -> pop_ret s f rest v
+
+and pop_ret s (f : bframe) (rest : bframe list) (v : mvalue) : mvalue =
+  s.stack <- rest;
+  s.depth <- s.depth - 1;
+  match f with
+  | BF_update a ->
+      Growarray.fast_set s.m.heap a (Cell_value v);
+      s.stats.Stats.updates <- s.stats.Stats.updates + 1;
+      ret s v
+  | BF_apply a -> (
+      match v with
+      | MClo (li, caps) ->
+          exec s
+            (Array.unsafe_get s.prog.lams li).l_pc
+            (Env_frame ([| a |], Env_frame (caps, Env_nil)))
+      | MInt _ | MChar _ | MString _ | MCon _ ->
+          type_error "application of a non-function")
+  | BF_case (ci, cenv) -> ret_case s ci cenv v
+  | BF_prim (si, vals, i, penv) ->
+      let ps = Array.unsafe_get s.prog.prims si in
+      Array.unsafe_set vals i v;
+      if i >= Array.length ps.ps_args then apply_prim s ps.ps_prim vals
+      else begin
+        push s (BF_prim (si, vals, i + 1, penv));
+        exec s ps.ps_args.(i) penv
+      end
+  | BF_raise li -> raise_to s s.prog.strs.(li) (raised_exn run s.m v)
+  | BF_mapexn _ ->
+      (* Normal value: mapException is the identity. *)
+      ret s v
+  | BF_isexn -> ret s (MCon (R.t_false, [||]))
+  | BF_catch -> ret s (MCon (R.t_ok, [| alloc_value s.m v |]))
+
+and goto s : (int, int) code -> mvalue = function
+  | C_eval (p, e) -> exec s p e
+  | C_enter a -> enter s a
+  | C_ret v -> ret s v
 
 let force = Runtime.force run
 let force_catch = Runtime.force_catch run

@@ -120,269 +120,254 @@ let app01 : R.rexpr =
 let alloc_app (m : t) f x = Runtime.alloc_app m app01 f x
 let update = function F_update a -> Some a | _ -> None
 
+(* One run's state, the only block a run allocates at entry: the frame
+   stack and its depth, the current control, and whether the run polls
+   for asynchronous events, which reach only an unmasked catch mark (the
+   mask depth is set between runs, so [poll] is fixed per run). A nested
+   run (a mapException function, a raised payload's readback) gets its
+   own record. *)
+type state = {
+  m : t;
+  mutable stack : frame list;
+  mutable depth : int;
+  mutable code : (R.rexpr, R.lam) code;
+  poll : bool;
+}
+
+let push s f =
+  s.stack <- f :: s.stack;
+  s.depth <- s.depth + 1;
+  if s.depth > s.m.stats.max_stack then s.m.stats.max_stack <- s.depth
+
+let type_error msg = raise (Prim_type_error msg)
+
+let select_alt (m : t) (v : mvalue) (alts : R.ralt array) env =
+  let n = Array.length alts in
+  let rec go i =
+    if i >= n then None
+    else
+      let a = alts.(i) in
+      match (a.R.rpat, v) with
+      | R.Rpcon (tag, nb), MCon (tag', addrs)
+        when tag = tag' && Array.length addrs = nb ->
+          (* The constructor's argument array doubles as the binder
+             frame: no copy, no per-binder insertion. *)
+          Some ((if nb = 0 then env else Env_frame (addrs, env)), a.R.rrhs)
+      | R.Rplit (Lit_int k), MInt mv when k = mv -> Some (env, a.R.rrhs)
+      | R.Rplit (Lit_char c), MChar c' when c = c' -> Some (env, a.R.rrhs)
+      | R.Rplit (Lit_string s), MString s' when String.equal s s' ->
+          Some (env, a.R.rrhs)
+      | R.Rpany false, _ -> Some (env, a.R.rrhs)
+      | R.Rpany true, _ ->
+          Some (Env_frame ([| alloc_value m v |], env), a.R.rrhs)
+      | (R.Rpcon _ | R.Rplit _), _ -> go (i + 1)
+  in
+  go 0
+
 (* The machine loop. [catch] marks the bottom of this run's stack as a
    getException catch mark: synchronous raises and asynchronous events
    that unwind all the way down are returned as [Error]. *)
 let rec run (m : t) ~(catch : bool) (code0 : (R.rexpr, R.lam) code) :
     (mvalue, failure) result =
-  let stack : frame list ref = ref [] in
-  let depth = ref 0 in
-  let code = ref code0 in
-  let push f =
-    stack := f :: !stack;
-    incr depth;
-    if !depth > m.stats.max_stack then m.stats.max_stack <- !depth
+  let s =
+    { m; stack = []; depth = 0; code = code0; poll = catch && m.mask_depth = 0 }
   in
-  let pop_to rest =
-    stack := rest;
-    decr depth
-  in
-  let type_error msg = raise (Prim_type_error msg) in
-  let note_raise label exn = note_raise m ~depth:!depth label exn in
-  (* Asynchronous events reach only an unmasked catch mark; the mask
-     depth is set between runs, so the condition is fixed per run. *)
-  let poll = catch && m.mask_depth = 0 in
+  try Ok (exec s) with Machine_stuck failure -> Error failure
 
-  (* Synchronous unwinding: trim to the mark, poisoning update frames
-     (Section 3.3), and continue at the frame that handles the raise. An
-     empty stack ends the run: the failure reaches the caller. *)
-  let rec unwind_sync (o : Obs.origin) (exn : Exn.t) : (R.rexpr, R.lam) code
-      =
-    match !stack with
-    | [] -> raise (Machine_stuck (Fail_exn exn))
-    | f :: rest -> (
-        pop_to rest;
-        m.stats.frames_trimmed <- m.stats.frames_trimmed + 1;
-        match f with
-        | F_update a ->
-            poison m a exn o;
-            unwind_sync o exn
-        | F_isexn ->
-            (* unsafeIsException observes the raise and answers True. *)
-            C_ret (MCon (R.t_true, [||]))
-        | F_unsafe_catch ->
-            C_ret (MCon (R.t_bad, [| alloc_value m (exn_to_mvalue m exn) |]))
-        | F_mapexn f_addr ->
-            let exn' = map_exn run m ~app:app01 f_addr exn in
-            unwind_sync (note_raise "mapException" exn') exn'
-        | F_apply _ | F_case _ | F_prim _ | F_raise _ -> unwind_sync o exn)
-  in
+(* Synchronous unwinding: trim to the mark, poisoning update frames
+   (Section 3.3), and continue at the frame that handles the raise. An
+   empty stack ends the run: the failure reaches the caller. *)
+and unwind_sync s (o : Obs.origin) (exn : Exn.t) : (R.rexpr, R.lam) code =
+  match s.stack with
+  | [] -> raise (Machine_stuck (Fail_exn exn))
+  | f :: rest -> (
+      s.stack <- rest;
+      s.depth <- s.depth - 1;
+      s.m.stats.frames_trimmed <- s.m.stats.frames_trimmed + 1;
+      match f with
+      | F_update a ->
+          poison s.m a exn o;
+          unwind_sync s o exn
+      | F_isexn ->
+          (* unsafeIsException observes the raise and answers True. *)
+          C_ret (MCon (R.t_true, [||]))
+      | F_unsafe_catch ->
+          C_ret (MCon (R.t_bad, [| alloc_value s.m (exn_to_mvalue s.m exn) |]))
+      | F_mapexn f_addr ->
+          let exn' = map_exn run s.m ~app:app01 f_addr exn in
+          raise_to_code s "mapException" exn'
+      | F_apply _ | F_case _ | F_prim _ | F_raise _ -> unwind_sync s o exn)
 
-  (* A fresh raise at a labelled site, continued as machine code. *)
-  let raise_to_code ?(label = "raise") exn =
-    unwind_sync (note_raise label exn) exn
-  in
+(* A fresh raise at a labelled site, continued as machine code. *)
+and raise_to_code s label exn =
+  unwind_sync s (note_raise s.m ~depth:s.depth label exn) exn
 
-  (* A poisoned thunk re-entered: replay the raise with its original
-     origin intact. *)
-  let reraise_to_code o exn =
-    note_reraise m o exn;
-    unwind_sync o exn
-  in
+and arith s n =
+  if n >= -Runtime.arith_bound && n < Runtime.arith_bound then C_ret (MInt n)
+  else raise_to_code s "arith-overflow" Exn.Overflow
 
-  let pending_async () =
-    if not poll then None
-    else
-      match m.async with
-      | (k, x) :: rest when m.stats.steps >= k ->
-          m.async <- rest;
-          Some x
-      | _ -> None
+and apply_prim s (p : Lang.Prim.t) (vs : mvalue list) : (R.rexpr, R.lam) code =
+  let module P = Lang.Prim in
+  let int2 k =
+    match vs with
+    | [ MInt a; MInt b ] -> k a b
+    | _ -> type_error (P.name p ^ ": expected integers")
   in
-
-  let arith n =
-    if n >= -Runtime.arith_bound && n < Runtime.arith_bound then
-      C_ret (MInt n)
-    else raise_to_code ~label:"arith-overflow" Exn.Overflow
-  in
-
-  let apply_prim (p : Lang.Prim.t) (vs : mvalue list) : (R.rexpr, R.lam) code
-      =
-    let module P = Lang.Prim in
-    let int2 k =
+  match p with
+  | P.Add -> int2 (fun a b -> arith s (a + b))
+  | P.Sub -> int2 (fun a b -> arith s (a - b))
+  | P.Mul -> int2 (fun a b -> arith s (a * b))
+  | P.Div ->
+      int2 (fun a b ->
+          if b = 0 then raise_to_code s "div" Exn.Divide_by_zero
+          else arith s (a / b))
+  | P.Mod ->
+      int2 (fun a b ->
+          if b = 0 then raise_to_code s "mod" Exn.Divide_by_zero
+          else arith s (a mod b))
+  | P.Neg -> (
       match vs with
-      | [ MInt a; MInt b ] -> k a b
-      | _ -> type_error (P.name p ^ ": expected integers")
-    in
-    match p with
-    | P.Add -> int2 (fun a b -> arith (a + b))
-    | P.Sub -> int2 (fun a b -> arith (a - b))
-    | P.Mul -> int2 (fun a b -> arith (a * b))
-    | P.Div ->
-        int2 (fun a b ->
-            if b = 0 then raise_to_code ~label:"div" Exn.Divide_by_zero
-            else arith (a / b))
-    | P.Mod ->
-        int2 (fun a b ->
-            if b = 0 then raise_to_code ~label:"mod" Exn.Divide_by_zero
-            else arith (a mod b))
-    | P.Neg -> (
-        match vs with
-        | [ MInt a ] -> arith (-a)
-        | _ -> type_error "negate: expected an integer")
-    | P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge -> (
-        match vs with
-        | [ a; b ] -> C_ret (compare_prim m p a b)
-        | _ -> type_error (P.name p ^ ": uncomparable values"))
-    | P.Seq -> (
-        match vs with
-        | [ _; v2 ] -> C_ret v2
-        | _ -> type_error "seq: arity")
-    | P.Chr -> (
-        match vs with
-        | [ MInt a ] when a >= 0 && a < 256 -> C_ret (MChar (Char.chr a))
-        | [ MInt _ ] -> type_error "chr: out of range"
-        | _ -> type_error "chr: expected an integer")
-    | P.Ord -> (
-        match vs with
-        | [ MChar c ] -> C_ret (MInt (Char.code c))
-        | _ -> type_error "ord: expected a character")
-    | P.Map_exception | P.Unsafe_is_exception | P.Unsafe_get_exception ->
-        (* Handled at C_eval via dedicated IR nodes. *)
-        type_error (P.name p ^ ": not strict-applied")
-  in
+      | [ MInt a ] -> arith s (-a)
+      | _ -> type_error "negate: expected an integer")
+  | P.Eq | P.Ne | P.Lt | P.Le | P.Gt | P.Ge -> (
+      match vs with
+      | [ a; b ] -> C_ret (compare_prim s.m p a b)
+      | _ -> type_error (P.name p ^ ": uncomparable values"))
+  | P.Seq -> (
+      match vs with [ _; v2 ] -> C_ret v2 | _ -> type_error "seq: arity")
+  | P.Chr -> (
+      match vs with
+      | [ MInt a ] when a >= 0 && a < 256 -> C_ret (MChar (Char.chr a))
+      | [ MInt _ ] -> type_error "chr: out of range"
+      | _ -> type_error "chr: expected an integer")
+  | P.Ord -> (
+      match vs with
+      | [ MChar c ] -> C_ret (MInt (Char.code c))
+      | _ -> type_error "ord: expected a character")
+  | P.Map_exception | P.Unsafe_is_exception | P.Unsafe_get_exception ->
+      (* Handled at C_eval via dedicated IR nodes. *)
+      type_error (P.name p ^ ": not strict-applied")
 
-  let select_alt (v : mvalue) (alts : R.ralt array) env =
-    let n = Array.length alts in
-    let rec go i =
-      if i >= n then None
-      else
-        let a = alts.(i) in
-        match (a.R.rpat, v) with
-        | R.Rpcon (tag, nb), MCon (tag', addrs)
-          when tag = tag' && Array.length addrs = nb ->
-            (* The constructor's argument array doubles as the binder
-               frame: no copy, no per-binder insertion. *)
-            Some
-              ((if nb = 0 then env else Env_frame (addrs, env)), a.R.rrhs)
-        | R.Rplit (Lit_int k), MInt mv when k = mv -> Some (env, a.R.rrhs)
-        | R.Rplit (Lit_char c), MChar c' when c = c' -> Some (env, a.R.rrhs)
-        | R.Rplit (Lit_string s), MString s' when String.equal s s' ->
-            Some (env, a.R.rrhs)
-        | R.Rpany false, _ -> Some (env, a.R.rrhs)
-        | R.Rpany true, _ ->
-            Some (Env_frame ([| alloc_value m v |], env), a.R.rrhs)
-        | (R.Rpcon _ | R.Rplit _), _ -> go (i + 1)
-    in
-    go 0
+and step s : unit =
+  let m = s.m in
+  m.stats.steps <- m.stats.steps + 1;
+  m.fuel_left <- m.fuel_left - 1;
+  if m.fuel_left <= 0 then raise (Machine_stuck Fail_diverged);
+  (* Resource exhaustion (GHC's HeapOverflow/StackOverflow): delivered
+     through the ordinary trim-the-stack path, so it poisons abandoned
+     thunks and is catchable by getException like any other imprecise
+     exception. *)
+  let exhausted =
+    match m.cfg.stack_limit with
+    | Some lim when s.depth > lim ->
+        m.stats.stack_overflows <- m.stats.stack_overflows + 1;
+        Some ("stack-limit", Exn.Stack_overflow_exn)
+    | _ -> (
+        match m.cfg.heap_limit with
+        | Some lim when m.heap_check_armed && Growarray.length m.heap >= lim ->
+            m.heap_check_armed <- false;
+            m.stats.heap_overflows <- m.stats.heap_overflows + 1;
+            Some ("heap-limit", Exn.Heap_overflow)
+        | _ -> None)
   in
-
-  let step () : unit =
-    m.stats.steps <- m.stats.steps + 1;
-    m.fuel_left <- m.fuel_left - 1;
-    if m.fuel_left <= 0 then raise (Machine_stuck Fail_diverged);
-    (* Resource exhaustion (GHC's HeapOverflow/StackOverflow): delivered
-       through the ordinary trim-the-stack path, so it poisons abandoned
-       thunks and is catchable by getException like any other imprecise
-       exception. *)
-    let exhausted =
-      match m.cfg.stack_limit with
-      | Some lim when !depth > lim ->
-          m.stats.stack_overflows <- m.stats.stack_overflows + 1;
-          Some ("stack-limit", Exn.Stack_overflow_exn)
-      | _ -> (
-          match m.cfg.heap_limit with
-          | Some lim when m.heap_check_armed && Growarray.length m.heap >= lim
-            ->
-              m.heap_check_armed <- false;
-              m.stats.heap_overflows <- m.stats.heap_overflows + 1;
-              Some ("heap-limit", Exn.Heap_overflow)
-          | _ -> None)
-    in
-    match exhausted with
-    | Some (label, exn) -> code := raise_to_code ~label exn
-    | None -> (
-    (match pending_async () with
-    | Some x -> unwind_async m ~depth:!depth ~update !code !stack x
-    | None -> ());
-    match !code with
+  match exhausted with
+  | Some (label, exn) -> s.code <- raise_to_code s label exn
+  | None -> (
+    (if s.poll then
+       match m.async with
+       | (k, x) :: rest when m.stats.steps >= k ->
+           m.async <- rest;
+           unwind_async m ~depth:s.depth ~update s.code s.stack x
+       | _ -> ());
+    match s.code with
     | C_enter a -> (
         match Growarray.get m.heap a with
-        | Cell_value v -> code := C_ret v
+        | Cell_value v -> s.code <- C_ret v
         | Cell_thunk (e, env) ->
             Growarray.set m.heap a Cell_blackhole;
-            push (F_update a);
-            code := C_eval (e, env)
+            push s (F_update a);
+            s.code <- C_eval (e, env)
         | Cell_blackhole ->
             (* Section 5.2: a detectable bottom. *)
             if m.cfg.blackhole_nontermination then
-              code := raise_to_code ~label:"blackhole" Exn.Non_termination
+              s.code <- raise_to_code s "blackhole" Exn.Non_termination
             else raise (Machine_stuck Fail_diverged)
         | Cell_raise (exn, o) ->
             (* A poisoned thunk: re-raise the same exception, with the
                origin of the poisoning raise intact. *)
-            code := reraise_to_code o exn
+            note_reraise m o exn;
+            s.code <- unwind_sync s o exn
         | Cell_paused (code', seg) ->
             (* Resume the interrupted evaluation (Section 5.1). *)
             Growarray.set m.heap a Cell_blackhole;
-            push (F_update a);
-            List.iter push (List.rev seg);
+            push s (F_update a);
+            List.iter (push s) (List.rev seg);
             if Obs.on m.trace then Obs.record m.trace (Obs.Ev_resume a);
-            code := code'
+            s.code <- code'
         | Cell_unused -> type_error "dangling address")
     | C_eval (e, env) -> (
         match e with
-        | R.RVar s -> code := C_enter (lookup env s)
+        | R.RVar sl -> s.code <- C_enter (lookup env sl)
         | R.RUnbound x ->
-            code :=
-              raise_to_code ~label:"unbound"
+            s.code <-
+              raise_to_code s "unbound"
                 (Exn.Type_error (Printf.sprintf "unbound variable %s" x))
-        | R.RLit (Lit_int n) -> code := C_ret (MInt n)
-        | R.RLit (Lit_char c) -> code := C_ret (MChar c)
-        | R.RLit (Lit_string s) -> code := C_ret (MString s)
-        | R.RLam l -> code := C_ret (MClo (l, Array.map (lookup env) l.R.lcaps))
+        | R.RLit (Lit_int n) -> s.code <- C_ret (MInt n)
+        | R.RLit (Lit_char c) -> s.code <- C_ret (MChar c)
+        | R.RLit (Lit_string str) -> s.code <- C_ret (MString str)
+        | R.RLam l ->
+            s.code <- C_ret (MClo (l, Array.map (lookup env) l.R.lcaps))
         | R.RApp (f, a) ->
             let a_addr = arg_addr m env a in
-            push (F_apply a_addr);
-            code := C_eval (f, env)
+            push s (F_apply a_addr);
+            s.code <- C_eval (f, env)
         | R.RCon (tag, args) ->
-            code := C_ret (MCon (tag, Array.map (arg_addr m env) args))
+            s.code <- C_ret (MCon (tag, Array.map (arg_addr m env) args))
         | R.RLet (a, body) ->
             let addr = arg_addr m env a in
-            code := C_eval (body, Env_frame ([| addr |], env))
+            s.code <- C_eval (body, Env_frame ([| addr |], env))
         | R.RLetrec (specs, body) ->
             (* Reserve the cells, then tie the knot through the shared
                binder frame: each right-hand side captures its footprint
                from the extended environment, in which the siblings'
                addresses already exist. *)
-            let addrs =
-              Array.map (fun _ -> alloc_cell m Cell_unused) specs
-            in
+            let addrs = Array.map (fun _ -> alloc_cell m Cell_unused) specs in
             let env' = Env_frame (addrs, env) in
             Array.iteri
               (fun i spec ->
                 Growarray.set m.heap addrs.(i)
                   (Cell_thunk (spec.R.tbody, capture env' spec.R.caps)))
               specs;
-            code := C_eval (body, env')
+            s.code <- C_eval (body, env')
         | R.RRaise (lbl, e1) ->
-            push (F_raise lbl);
-            code := C_eval (e1, env)
+            push s (F_raise lbl);
+            s.code <- C_eval (e1, env)
         | R.RMapexn (f, v) ->
             let f_addr = arg_addr m env f in
-            push (F_mapexn f_addr);
-            code := C_eval (v, env)
+            push s (F_mapexn f_addr);
+            s.code <- C_eval (v, env)
         | R.RIsexn v ->
-            push F_isexn;
-            code := C_eval (v, env)
+            push s F_isexn;
+            s.code <- C_eval (v, env)
         | R.RGetexn v ->
-            push F_unsafe_catch;
-            code := C_eval (v, env)
+            push s F_unsafe_catch;
+            s.code <- C_eval (v, env)
         | R.RPrim (p, arg :: rest) ->
-            push (F_prim (p, [], rest, env));
-            code := C_eval (arg, env)
+            push s (F_prim (p, [], rest, env));
+            s.code <- C_eval (arg, env)
         | R.RPrim (p, []) -> type_error (Lang.Prim.name p ^ ": no arguments")
         | R.RCase (scrut, alts) ->
-            push (F_case (alts, env));
-            code := C_eval (scrut, env))
+            push s (F_case (alts, env));
+            s.code <- C_eval (scrut, env))
     | C_ret v -> (
-        match !stack with
+        match s.stack with
         | [] ->
             (* [loop] returns before stepping a finished configuration,
                so reaching here means the driver invariant broke. *)
             invariant_failure m "C_ret with an empty stack reached step"
         | f :: rest -> (
-            pop_to rest;
+            s.stack <- rest;
+            s.depth <- s.depth - 1;
             match f with
             | F_update a ->
                 Growarray.set m.heap a (Cell_value v);
@@ -392,53 +377,48 @@ let rec run (m : t) ~(catch : bool) (code0 : (R.rexpr, R.lam) code) :
                 | MClo (l, caps) ->
                     (* One 1-slot argument frame chained onto the
                        captured frame: no copying of the captures. *)
-                    code :=
+                    s.code <-
                       C_eval
                         ( l.R.lbody,
-                          Env_frame
-                            ([| a |], Env_frame (caps, Env_nil)) )
+                          Env_frame ([| a |], Env_frame (caps, Env_nil)) )
                 | MInt _ | MChar _ | MString _ | MCon _ ->
                     type_error "application of a non-function")
             | F_case (alts, env) -> (
-                match select_alt v alts env with
-                | Some (env', rhs) -> code := C_eval (rhs, env')
+                match select_alt m v alts env with
+                | Some (env', rhs) -> s.code <- C_eval (rhs, env')
                 | None ->
-                    code :=
-                      raise_to_code ~label:"case"
-                        (Exn.Pattern_match_fail "case"))
+                    s.code <-
+                      raise_to_code s "case" (Exn.Pattern_match_fail "case"))
             | F_prim (p, done_, remaining, env) -> (
                 let done' = done_ @ [ v ] in
                 match remaining with
-                | [] -> code := apply_prim p done'
+                | [] -> s.code <- apply_prim s p done'
                 | next :: rest' ->
-                    push (F_prim (p, done', rest', env));
-                    code := C_eval (next, env))
-            | F_raise lbl ->
-                code := raise_to_code ~label:lbl (raised_exn run m v)
+                    push s (F_prim (p, done', rest', env));
+                    s.code <- C_eval (next, env))
+            | F_raise lbl -> s.code <- raise_to_code s lbl (raised_exn run m v)
             | F_mapexn _ ->
                 (* The protected value was normal: mapException is the
                    identity. *)
-                code := C_ret v
-            | F_isexn -> code := C_ret (MCon (R.t_false, [||]))
+                s.code <- C_ret v
+            | F_isexn -> s.code <- C_ret (MCon (R.t_false, [||]))
             | F_unsafe_catch ->
-                code := C_ret (MCon (R.t_ok, [| alloc_value m v |])))))
-  in
-  try
-    let rec loop () =
-      match (!code, !stack) with
-      | C_ret v, [] -> Ok v
-      | _ ->
-          step ();
-          loop ()
-    in
-    let rec exec () =
-      try loop ()
-      with Prim_type_error msg ->
-        code := raise_to_code ~label:"type-error" (Exn.Type_error msg);
-        exec ()
-    in
-    exec ()
-  with Machine_stuck failure -> Error failure
+                s.code <- C_ret (MCon (R.t_ok, [| alloc_value m v |])))))
+
+and loop s =
+  match (s.code, s.stack) with
+  | C_ret v, [] -> v
+  | _ ->
+      step s;
+      loop s
+
+(* A prim type error unwinds like an ordinary raise from the point of
+   the error: the stack is intact when the OCaml exception arrives. *)
+and exec s =
+  try loop s
+  with Prim_type_error msg ->
+    s.code <- raise_to_code s "type-error" (Exn.Type_error msg);
+    exec s
 
 let force = Runtime.force run
 let force_catch = Runtime.force_catch run

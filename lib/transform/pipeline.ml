@@ -272,8 +272,13 @@ let split = function
   | Letrec (defs, body) when defs == Lang.Prelude.defs -> (defs, body)
   | e -> ([], e)
 
+(* The Prelude group's total size, a constant: a split root's
+   [size_before] is [1 + size body] plus it, so the report does not walk
+   the group's 125 bindings on every call. *)
+let prelude_size =
+  lazy (List.fold_left (fun n (_, e) -> n + size e) 0 Lang.Prelude.defs)
+
 let optimize ?(lint = true) ?break_pass ?trace mode e =
-  let size_before = size e in
   let tally = Hashtbl.create 8 in
   let bump k n =
     Hashtbl.replace tally k
@@ -290,6 +295,11 @@ let optimize ?(lint = true) ?break_pass ?trace mode e =
     r
   in
   let group, body = split e in
+  let size_before =
+    match group with
+    | [] -> size body
+    | _ -> 1 + size body + Lazy.force prelude_size
+  in
   let st = ref None in
   if lint then st := Some (timed (fun () -> Lint.snapshot body));
   (* A pass that returned its input unchanged has nothing to check —

@@ -13,6 +13,53 @@ let run ?config src =
 let check_run ?config msg expected src =
   Alcotest.check deep msg expected (run ?config src)
 
+(* What a caught run answers, as a deep value. *)
+let caught deep m = function
+  | Ok v -> deep m (Runtime.alloc_value m v)
+  | Error (Runtime.Fail_exn x | Runtime.Fail_async x) -> dbad [ x ]
+  | Error Runtime.Fail_diverged -> Value.DBad Exn_set.bottom
+
+(* Each machine's two ways in: a one-shot deep run, and a catch mark
+   at the bottom of the run's stack. *)
+let machines =
+  [
+    ( "slot",
+      (fun e -> fst (M.run_deep e)),
+      fun e ->
+        let m = M.create () in
+        caught (fun m a -> M.deep m a) m (M.force_catch m (M.alloc m e)) );
+    ( "bytecode",
+      (fun e -> fst (Bytecode.run_deep e)),
+      fun e ->
+        let m = Bytecode.create (Bytecode.compile_expr e) in
+        caught
+          (fun m a -> Bytecode.deep m a)
+          m
+          (Bytecode.force_catch m (Bytecode.entry m)) );
+  ]
+
+(* A mapException that fires starts a nested run (its function's, then
+   the mapped payload's readback) inside the run that is unwinding, so
+   per-run state must not leak between them. The program runs on both
+   machines, alone and under an outer frame, through both ways in, and
+   every answer must be the denotation's. *)
+let check_nested msg expected src =
+  Alcotest.check deep (msg ^ ": denotation") expected (ev src);
+  List.iter
+    (fun src ->
+      let e = parse src in
+      let want = ev_expr e in
+      List.iter
+        (fun (name, run_deep, force_catch) ->
+          Alcotest.check deep
+            (Printf.sprintf "%s: %s run_deep of %s" msg name src)
+            want (run_deep e);
+          Alcotest.check deep
+            (Printf.sprintf "%s: %s force_catch of %s" msg name src)
+            want (force_catch e))
+        machines)
+    [ src; "1 + (" ^ src ^ ")" ]
+
 let suite =
   [
     tc "arithmetic" (fun () -> check_run "add" (dint 5) "2 + 3");
@@ -118,19 +165,19 @@ let suite =
         check_run "fix" (dint 24)
           "(fix (\\f -> \\n -> if n == 0 then 1 else n * f (n - 1))) 4");
     tc "mapException transforms during unwinding (Section 5.4)" (fun () ->
-        check_run "mapexn"
+        check_nested "mapexn"
           (dbad [ E.User_error "mapped" ])
           "mapException (\\e -> UserError \"mapped\") (1/0)");
     tc "mapException identity on normal values" (fun () ->
         check_run "mapid" (dint 7)
           "mapException (\\e -> Overflow) 7");
     tc "mapException chains" (fun () ->
-        check_run "chain"
+        check_nested "chain"
           (dbad [ E.Overflow ])
           "mapException (\\e -> Overflow)\n\
            (mapException (\\e -> UserError \"inner\") (1/0))");
     tc "mapException whose function raises" (fun () ->
-        check_run "mapraise"
+        check_nested "mapraise"
           (dbad [ E.User_error "fn" ])
           "mapException (\\e -> raise (UserError \"fn\")) (1/0)");
     tc "unsafeIsException in the machine" (fun () ->

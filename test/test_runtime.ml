@@ -142,6 +142,22 @@ let queue_order ~force_catch m a =
   delivery "the interrupt" E.Interrupt 1_500;
   delivery "the timeout" E.Timeout 1_501
 
+(* Entering a run allocates its state record and little else: 1,000
+   forces of a cell that is already a value, read with
+   [Gc.minor_words]. A closure built inside either loop's [run] shows up
+   here. *)
+let entry_words ~force m a =
+  ignore (force m a);
+  let forces = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to forces do
+    ignore (force m a)
+  done;
+  let per = (Gc.minor_words () -. w0) /. float forces in
+  if per > 16. then
+    Alcotest.failf
+      "forcing an evaluated cell allocated %.1f words (want at most 16)" per
+
 let suite =
   List.concat_map
     (fun (name, src, raises, steps, dispatches, ic, allocations, updates,
@@ -195,6 +211,15 @@ let suite =
         (fun () ->
           let m = B.create (B.compile_expr (parse (sum_to 100))) in
           masked_then_delivered ~force_catch:B.force_catch m (B.entry m));
+      tc "slot: forcing an evaluated cell allocates at most 16 words"
+        (fun () ->
+          let m = M.create () in
+          entry_words ~force:M.force m
+            (M.alloc m (parse "enumFromTo 1 50")));
+      tc "bytecode: forcing an evaluated cell allocates at most 16 words"
+        (fun () ->
+          let m = B.create (B.compile_expr (parse "enumFromTo 1 50")) in
+          entry_words ~force:B.force m (B.entry m));
       tc "slot: async events are delivered in injection order" (fun () ->
           let m = M.create () in
           queue_order ~force_catch:M.force_catch m
